@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! repro [--reps N] [--scale F] [--csv] [--profile] [--jobs N]
-//!       [--engine exact|sampled] [--strict-deadline]
-//!       [--configs 16t4n,8t4n,...] <command>...
+//!       [--strict-deadline] [--configs 16t4n,8t4n,...] <command>...
 //!
 //! commands:
 //!   fig10              synthetic benchmark by coloring policy
@@ -25,24 +24,13 @@
 //!   soak               sustained over-committed pressure: watermarks, backoff,
 //!                      OOM kills, incremental auditing, per-window trace (extension)
 //!   probe:<bench>      per-scheme diagnostics for one benchmark cell
-//!   validate-sampled   exact-vs-sampled engine differential: interleaved A/B
-//!                      wall-clock + figure-ratio error table, FAIL above bound
 //!   gc-journal         compact the cell-farm journal into a fresh generation
-//!   all                everything above (except probe, validate-sampled, and
-//!                      gc-journal)
+//!   all                everything above (except probe and gc-journal)
 //! ```
 //!
-//! `--engine sampled` (equivalently `TINT_ENGINE=sampled`; the flag wins)
-//! runs the sampling engine: short detailed windows through the exact
-//! pipeline interleaved with functional warm-up whose cycles come from a
-//! running per-thread DRAM-latency estimate (see `tint_spmd::engine`).
-//! Sampled results are estimates — they are cached and journaled under
-//! distinct cell keys and recorded with `"engine": "sampled"` in
-//! `BENCH_repro.json`, so they can never be served for an exact request.
-//! `validate-sampled` quantifies the trade: it runs the fig11/fig12 matrix
-//! in both modes (cell cache off, passes interleaved A/B) and reports the
-//! speedup plus the worst relative error across the buddy-normalized
-//! figure ratios, exiting 1 if any error exceeds the bound.
+//! Every number comes from the one exact SPMD engine (`tint_spmd::engine`);
+//! there is no estimated mode. An unknown flag or command is rejected
+//! before any work starts: one `repro: ...` line on stderr, exit code 2.
 //!
 //! Multiple commands run in sequence within one process. Two layers keep
 //! the sequence from repeating work: the `BenchMatrix` behind fig11/fig12
@@ -116,7 +104,7 @@ use tint_bench::benchjson::{write_bench_json, CmdRecord, InvocationMeta};
 use tint_bench::figures::{
     ablate_colorlist, ablate_dynamic, ablate_firsttouch, ablate_migrate, ablate_pagepolicy,
     ablate_part, ablate_pressure, bandwidth, churn, fig10, fig13_14, latency, probe, run_matrix,
-    soak, validate_sampled, BenchMatrix, FigOpts, SAMPLED_ERR_BOUND_PCT,
+    soak, BenchMatrix, FigOpts,
 };
 use tint_bench::hostfault::{self, HostFaultPlan};
 use tint_bench::journal;
@@ -128,8 +116,29 @@ use tint_bench::runner::{
 use tint_bench::simcache;
 use tint_bench::table::Table;
 use tint_hw::profile::{self, Component, COMPONENT_COUNT};
-use tint_spmd::{engine_mode, set_engine_mode, EngineMode};
 use tint_workloads::PinConfig;
+
+/// Every command [`run_cmd`] dispatches, besides `probe:<bench>`.
+const COMMANDS: [&str; 18] = [
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "latency",
+    "bandwidth",
+    "ablate-part",
+    "ablate-firsttouch",
+    "ablate-migrate",
+    "ablate-dynamic",
+    "ablate-pagepolicy",
+    "ablate-colorlist",
+    "ablate-pressure",
+    "churn",
+    "soak",
+    "gc-journal",
+    "all",
+];
 
 /// Exit with a one-line usage/config error (exit code 2: bad invocation).
 fn fail(msg: &str) -> ! {
@@ -154,10 +163,7 @@ fn parse_config(s: &str) -> Option<PinConfig> {
 fn profile_table(nanos: &[u64; COMPONENT_COUNT], wall_ms: f64) -> Table {
     let ms = |c: Component| nanos[c as usize] as f64 / 1e6;
     let engine = ms(Component::Engine);
-    let presort = ms(Component::Presort);
     let access = ms(Component::Access);
-    let warmup = ms(Component::Warmup);
-    let detailed = ms(Component::Detailed);
     let leaves =
         ms(Component::Tlb) + ms(Component::Hierarchy) + ms(Component::Dram) + ms(Component::Decode);
     let mut t = Table::new(vec!["component", "ms", "share_of_engine"]);
@@ -170,20 +176,8 @@ fn profile_table(nanos: &[u64; COMPONENT_COUNT], wall_ms: f64) -> Table {
     };
     let mut row = |name: &str, v: f64| t.row(vec![name.to_string(), format!("{v:.1}"), share(v)]);
     row("engine (sections total)", engine);
-    row(
-        "  scheduler (engine - presort - access)",
-        engine - presort - access,
-    );
-    row("  presort (batch sort + prefetch)", presort);
+    row("  scheduler (engine - access)", engine - access);
     row("  access (System::access)", access);
-    // Sampled mode splits Access into warm-up (estimated) and detailed
-    // (exact) windows — an alternative decomposition of the same span: the
-    // leaf components below are nested *inside* these two. In exact mode
-    // both are zero and the rows are suppressed.
-    if warmup > 0.0 || detailed > 0.0 {
-        row("    warm-up (estimated)", warmup);
-        row("    detailed windows (exact)", detailed);
-    }
     row("    tlb + translate", ms(Component::Tlb));
     row("    cache hierarchy", ms(Component::Hierarchy));
     row("    dram timing", ms(Component::Dram));
@@ -211,9 +205,6 @@ struct Ctx {
     churn: Option<Table>,
     /// The soak-figure table (per-window pressure trace), likewise recorded.
     soak: Option<Table>,
-    /// Set when `validate-sampled` exceeded its error bound; the run still
-    /// writes `BENCH_repro.json` and then exits 1.
-    validation_failed: bool,
     /// Set when `gc-journal` failed (lock held, io fault before commit);
     /// the store is unchanged and the run exits 1.
     gc_failed: bool,
@@ -261,6 +252,7 @@ fn run_cmd(ctx: &mut Ctx, cmd: &str) {
                 row("shards merged", g.shards_merged.to_string());
                 row("shards quarantined", g.quarantined.to_string());
                 row("v1 cells absorbed", g.v1_absorbed.to_string());
+                row("foreign records dropped", g.foreign_dropped.to_string());
                 row("bytes before", g.bytes_before.to_string());
                 row("bytes after", g.bytes_after.to_string());
                 row(
@@ -278,24 +270,6 @@ fn run_cmd(ctx: &mut Ctx, cmd: &str) {
                 eprintln!("repro: gc-journal: {e}");
                 ctx.gc_failed = true;
             }
-        }
-        return;
-    }
-    if cmd == "validate-sampled" {
-        header("Sampled-engine validation: exact vs sampled figure ratios");
-        let v = validate_sampled(&ctx.opts, &ctx.configs);
-        print!("{}", ctx.opts.render(&v.table));
-        println!(
-            "wall: exact {:.0} ms, sampled {:.0} ms, speedup {:.1}x; \
-             max ratio error {:.3}% (bound {SAMPLED_ERR_BOUND_PCT:.1}%): {}",
-            v.exact_ms,
-            v.sampled_ms,
-            v.speedup,
-            v.max_err_pct,
-            if v.passed { "PASS" } else { "FAIL" },
-        );
-        if !v.passed {
-            ctx.validation_failed = true;
         }
         return;
     }
@@ -407,13 +381,6 @@ fn main() {
             }
             "--csv" => opts.csv = true,
             "--profile" => profile::set_enabled(true),
-            "--engine" => match arg(&mut it, "--engine").as_str() {
-                "exact" => set_engine_mode(EngineMode::Exact),
-                "sampled" => set_engine_mode(EngineMode::Sampled),
-                other => fail(&format!(
-                    "--engine wants 'exact' or 'sampled', got {other:?}"
-                )),
-            },
             "--strict-deadline" => set_strict_deadline(true),
             "--jobs" => match parse_jobs(arg(&mut it, "--jobs")) {
                 Ok(n) => set_jobs(n),
@@ -433,6 +400,15 @@ fn main() {
     }
     if cmds.is_empty() {
         cmds.push("all".to_string());
+    }
+    if let Some(c) = cmds
+        .iter()
+        .find(|c| !c.starts_with("probe:") && !COMMANDS.contains(&c.as_str()))
+    {
+        fail(&format!(
+            "unknown command {c:?} (commands: {}, probe:<bench>)",
+            COMMANDS.join(", ")
+        ));
     }
     if opts.reps < 1 {
         fail("--reps must be at least 1");
@@ -492,7 +468,6 @@ fn main() {
         pressure: None,
         churn: None,
         soak: None,
-        validation_failed: false,
         gc_failed: false,
     };
     let mut records = Vec::with_capacity(cmds.len());
@@ -519,11 +494,6 @@ fn main() {
             scale: ctx.opts.scale,
             cache_hits,
             cache_misses,
-            engine: if engine_mode() == EngineMode::Sampled {
-                "sampled"
-            } else {
-                "exact"
-            },
             profile: prof,
         });
     }
@@ -561,13 +531,6 @@ fn main() {
         std::process::exit(1);
     }
     if ctx.gc_failed {
-        std::process::exit(1);
-    }
-    if ctx.validation_failed {
-        eprintln!(
-            "error: validate-sampled exceeded the {SAMPLED_ERR_BOUND_PCT:.1}% ratio error bound \
-             (see table above)"
-        );
         std::process::exit(1);
     }
     if poisoned_cells() > 0 {

@@ -49,7 +49,7 @@ impl FigOpts {
 }
 
 /// The coloring solutions Fig. 10 compares on the synthetic benchmark.
-const FIG10_SCHEMES: [ColorScheme; 4] = [
+pub const FIG10_SCHEMES: [ColorScheme; 4] = [
     ColorScheme::Buddy,
     ColorScheme::LlcOnly,
     ColorScheme::MemOnly,
@@ -137,7 +137,7 @@ pub struct BenchMatrix {
 }
 
 /// All schemes the benchmark figures need.
-fn matrix_schemes() -> Vec<ColorScheme> {
+pub fn matrix_schemes() -> Vec<ColorScheme> {
     let mut v = vec![ColorScheme::Buddy, ColorScheme::Bpm, ColorScheme::MemLlc];
     v.extend(OTHER_SCHEMES);
     v
@@ -269,159 +269,6 @@ impl BenchMatrix {
     /// **Figure 12** — normalized total idle time per config.
     pub fn fig12(&self) -> Vec<Table> {
         self.figure(|r| r.metrics.total_idle() as f64, "idle")
-    }
-}
-
-/// Hard bound asserted by `repro validate-sampled`: worst relative error
-/// (per cent) allowed on any figure ratio metric in sampled mode.
-pub const SAMPLED_ERR_BOUND_PCT: f64 = 2.0;
-
-/// Ratios whose exact-mode value is below this are skipped in the error
-/// sweep: the figures print two decimals, so a buddy-normalized ratio
-/// under 0.02 renders as `0.0x` and its *relative* error is pure noise.
-const SAMPLED_ERR_MIN_RATIO: f64 = 0.02;
-
-/// Outcome of [`validate_sampled`].
-pub struct SampledValidation {
-    /// Per-figure error table (one row per figure metric).
-    pub table: Table,
-    /// Mean wall-clock of the exact matrix passes, milliseconds.
-    pub exact_ms: f64,
-    /// Mean wall-clock of the sampled matrix passes, milliseconds.
-    pub sampled_ms: f64,
-    /// `exact_ms / sampled_ms`.
-    pub speedup: f64,
-    /// Worst relative error over both figures, per cent.
-    pub max_err_pct: f64,
-    /// Every error within [`SAMPLED_ERR_BOUND_PCT`].
-    pub passed: bool,
-}
-
-/// **validate-sampled** — the sampled-engine differential: run the
-/// fig11/fig12 matrix in exact and in sampled mode and compare every
-/// buddy-normalized ratio the two figures are built from (each non-buddy
-/// scheme × benchmark × config, for runtime and total idle). Wall-clock is
-/// measured from two interleaved A/B passes per mode with the cell cache
-/// off — both passes really simulate, and host drift (thermal, page
-/// cache) hits the two modes alike. The engine mode and cache state are
-/// restored afterwards.
-pub fn validate_sampled(opts: &FigOpts, configs: &[PinConfig]) -> SampledValidation {
-    use std::time::Instant;
-    use tint_spmd::{engine_mode, set_engine_mode, EngineMode};
-
-    let cache_was = crate::simcache::enabled();
-    let mode_was = engine_mode();
-    crate::simcache::set_enabled(false);
-    let mut exact: Option<BenchMatrix> = None;
-    let mut sampled: Option<BenchMatrix> = None;
-    let (mut exact_ns, mut sampled_ns) = (0u128, 0u128);
-    for pass in 0..2 {
-        eprintln!("[validate-sampled] pass {}/2: exact matrix", pass + 1);
-        set_engine_mode(EngineMode::Exact);
-        let t = Instant::now();
-        exact = Some(run_matrix(opts, configs));
-        exact_ns += t.elapsed().as_nanos();
-        eprintln!("[validate-sampled] pass {}/2: sampled matrix", pass + 1);
-        set_engine_mode(EngineMode::Sampled);
-        let t = Instant::now();
-        sampled = Some(run_matrix(opts, configs));
-        sampled_ns += t.elapsed().as_nanos();
-    }
-    set_engine_mode(mode_was);
-    crate::simcache::set_enabled(cache_was);
-    let (exact, sampled) = (exact.unwrap(), sampled.unwrap());
-
-    fn runtime_of(r: &ExpResult) -> f64 {
-        r.metrics.runtime as f64
-    }
-    fn idle_of(r: &ExpResult) -> f64 {
-        r.metrics.total_idle() as f64
-    }
-    type Metric = fn(&ExpResult) -> f64;
-    let figures: [(&str, &str, Metric); 2] =
-        [("fig11", "runtime", runtime_of), ("fig12", "idle", idle_of)];
-
-    let mut table = Table::new(vec![
-        "figure",
-        "metric",
-        "ratios",
-        "skipped",
-        "mean_err_%",
-        "max_err_%",
-        "bound_%",
-        "status",
-    ]);
-    let mut max_all = 0.0f64;
-    let schemes = matrix_schemes();
-    for (fig, what, metric) in figures {
-        let mut errs: Vec<f64> = Vec::new();
-        let mut skipped = 0usize;
-        for &pin in &exact.configs {
-            for &b in &exact.benchmarks {
-                let base_e_rs = exact.get(b, pin, ColorScheme::Buddy);
-                let base_s_rs = sampled.get(b, pin, ColorScheme::Buddy);
-                if any_poisoned(base_e_rs) || any_poisoned(base_s_rs) {
-                    skipped += schemes.len() - 1;
-                    continue;
-                }
-                let base_e = Summary::of(base_e_rs, metric).mean;
-                let base_s = Summary::of(base_s_rs, metric).mean;
-                if base_e <= 0.0 || base_s <= 0.0 {
-                    skipped += schemes.len() - 1;
-                    continue;
-                }
-                for &scheme in schemes.iter().filter(|&&s| s != ColorScheme::Buddy) {
-                    let e_rs = exact.get(b, pin, scheme);
-                    let s_rs = sampled.get(b, pin, scheme);
-                    if any_poisoned(e_rs) || any_poisoned(s_rs) {
-                        skipped += 1;
-                        continue;
-                    }
-                    let re = Summary::of(e_rs, metric).mean / base_e;
-                    let rs = Summary::of(s_rs, metric).mean / base_s;
-                    if re < SAMPLED_ERR_MIN_RATIO {
-                        skipped += 1;
-                        continue;
-                    }
-                    errs.push(100.0 * (rs - re).abs() / re);
-                }
-            }
-        }
-        let mean = if errs.is_empty() {
-            0.0
-        } else {
-            errs.iter().sum::<f64>() / errs.len() as f64
-        };
-        let max = errs.iter().copied().fold(0.0f64, f64::max);
-        max_all = max_all.max(max);
-        table.row(vec![
-            fig.to_string(),
-            what.to_string(),
-            errs.len().to_string(),
-            skipped.to_string(),
-            format!("{mean:.3}"),
-            format!("{max:.3}"),
-            format!("{SAMPLED_ERR_BOUND_PCT:.1}"),
-            if max <= SAMPLED_ERR_BOUND_PCT {
-                "ok".to_string()
-            } else {
-                "FAIL".to_string()
-            },
-        ]);
-    }
-    let exact_ms = exact_ns as f64 / 2.0 / 1e6;
-    let sampled_ms = sampled_ns as f64 / 2.0 / 1e6;
-    SampledValidation {
-        table,
-        exact_ms,
-        sampled_ms,
-        speedup: if sampled_ms > 0.0 {
-            exact_ms / sampled_ms
-        } else {
-            0.0
-        },
-        max_err_pct: max_all,
-        passed: max_all <= SAMPLED_ERR_BOUND_PCT,
     }
 }
 

@@ -53,6 +53,10 @@
 //!   root, never clobbering a previous quarantine), its good prefix is
 //!   rescued into this process's own shard, and replay continues with the
 //!   other shards; the journal never panics the harness.
+//! * **foreign record** — a well-formed record whose mode byte names an
+//!   engine mode that has since been removed (1 = reference pipeline,
+//!   2 = sampled engine): skipped and counted, never served. Its shard
+//!   stays healthy; GC drops the record.
 //!
 //! ## Generations and GC
 //!
@@ -140,6 +144,17 @@ const MAX_ENTRY: u32 = 1 << 20;
 
 /// Consecutive append failures before the journal disarms itself.
 const MAX_IO_FAILURES: u8 = 3;
+
+/// Record mode byte of every cell this engine writes.
+const MODE_ENGINE: u8 = 0;
+
+/// Mode byte of cells from the removed reference-pipeline mode. Replay
+/// skips such records as foreign; they are well-formed, not corrupt.
+const MODE_REFERENCE: u8 = 1;
+
+/// Mode byte of cells from the removed sampled engine (estimates, never
+/// exact results). Skipped as foreign, like [`MODE_REFERENCE`].
+const MODE_SAMPLED: u8 = 2;
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE 802.3), table-driven, in-tree (offline build: no crates)
@@ -293,14 +308,7 @@ fn encode(key: &CellKey, r: &ExpResult) -> Vec<u8> {
     e.u64(key.fingerprint);
     e.u8(scheme_code(key.scheme));
     e.u8(pin_code(key.pin));
-    // Engine-mode byte: 0 = exact batched, 1 = reference pipeline,
-    // 2 = sampled. Values 0/1 predate sampled mode, so old v1 journals
-    // decode unchanged.
-    e.u8(if key.sampled {
-        2
-    } else {
-        key.reference_pipeline as u8
-    });
+    e.u8(MODE_ENGINE);
     e.u64(key.seed);
     let m = &r.metrics;
     e.u32(m.threads as u32);
@@ -321,26 +329,33 @@ fn encode(key: &CellKey, r: &ExpResult) -> Vec<u8> {
     e.0
 }
 
+/// One well-formed journal record.
+#[derive(Debug)]
+enum Record {
+    /// A cell the current engine would compute.
+    Cell(CellKey, ExpResult),
+    /// A cell from an engine mode that no longer exists (reference
+    /// pipeline or sampled engine): never served, dropped by GC.
+    Foreign,
+}
+
 /// Decode one cell record; `None` means the payload is not a well-formed
 /// record (treated as corruption by the replayer).
-fn decode(payload: &[u8]) -> Option<(CellKey, ExpResult)> {
+fn decode(payload: &[u8]) -> Option<Record> {
     let mut d = Dec {
         buf: payload,
         at: 0,
     };
     let (fingerprint, scheme, pin) = (d.u64()?, scheme_from(d.u8()?)?, pin_from(d.u8()?)?);
-    let (reference_pipeline, sampled) = match d.u8()? {
-        0 => (false, false),
-        1 => (true, false),
-        2 => (false, true),
+    let foreign = match d.u8()? {
+        MODE_ENGINE => false,
+        MODE_REFERENCE | MODE_SAMPLED => true,
         _ => return None,
     };
     let key = CellKey {
         fingerprint,
         scheme,
         pin,
-        reference_pipeline,
-        sampled,
         seed: d.u64()?,
     };
     let threads = d.u32()? as usize;
@@ -374,7 +389,11 @@ fn decode(payload: &[u8]) -> Option<(CellKey, ExpResult)> {
     if d.at != payload.len() {
         return None; // trailing bytes: not a record this version wrote
     }
-    Some((key, r))
+    Some(if foreign {
+        Record::Foreign
+    } else {
+        Record::Cell(key, r)
+    })
 }
 
 /// One framed entry: `len | crc | payload`.
@@ -518,6 +537,8 @@ pub struct ReplayStats {
     pub shards: u64,
     /// Cells absorbed from a legacy v1 journal.
     pub v1_absorbed: u64,
+    /// Well-formed records of removed engine modes, skipped unserved.
+    pub foreign: u64,
 }
 
 /// What a GC compaction did (the `repro gc-journal` report).
@@ -531,6 +552,8 @@ pub struct GcStats {
     pub quarantined: u64,
     /// Cells absorbed from a legacy v1 journal.
     pub v1_absorbed: u64,
+    /// Records of removed engine modes dropped from the new generation.
+    pub foreign_dropped: u64,
     /// Store bytes before compaction (old generation + v1).
     pub bytes_before: u64,
     /// Store bytes after compaction (the new generation).
@@ -664,6 +687,8 @@ pub fn replay() -> ReplayStats {
 /// One scanned byte stream (a shard or a v1 file).
 struct Scan {
     cells: Vec<(CellKey, ExpResult)>,
+    /// Well-formed records of removed engine modes (not in `cells`).
+    foreign: u64,
     /// Trailing bytes after the last whole good entry (torn write).
     torn: u64,
     /// Mid-stream corruption: bad magic, bad CRC, insane length, or an
@@ -677,6 +702,7 @@ struct Scan {
 fn scan_bytes(bytes: &[u8], magic: &[u8; 8]) -> Scan {
     let mut scan = Scan {
         cells: Vec::new(),
+        foreign: 0,
         torn: 0,
         corrupt: false,
     };
@@ -715,7 +741,8 @@ fn scan_bytes(bytes: &[u8], magic: &[u8; 8]) -> Scan {
             break;
         }
         match decode(payload) {
-            Some(kv) => scan.cells.push(kv),
+            Some(Record::Cell(k, v)) => scan.cells.push((k, v)),
+            Some(Record::Foreign) => scan.foreign += 1,
             None => {
                 scan.corrupt = true;
                 break;
@@ -733,6 +760,7 @@ struct GenScan {
     /// Keys durably held by a *healthy* shard (no need to re-persist).
     healthy_keys: HashSet<CellKey>,
     shards: u64,
+    foreign: u64,
     torn: u64,
     quarantined: u64,
     /// Total bytes of the shards scanned (GC's before-size).
@@ -750,6 +778,7 @@ fn scan_generation(root: &Path, gen_dir: &Path) -> GenScan {
         merged: HashMap::new(),
         healthy_keys: HashSet::new(),
         shards: 0,
+        foreign: 0,
         torn: 0,
         quarantined: 0,
         bytes: 0,
@@ -768,6 +797,7 @@ fn scan_generation(root: &Path, gen_dir: &Path) -> GenScan {
         g.bytes += bytes.len() as u64;
         let scan = scan_bytes(&bytes, SHARD_MAGIC);
         g.torn += scan.torn;
+        g.foreign += scan.foreign;
         if scan.corrupt {
             g.quarantined += 1;
             let q = unique_corrupt_path(root, &path);
@@ -803,6 +833,7 @@ fn scan_generation(root: &Path, gen_dir: &Path) -> GenScan {
 /// A scanned legacy v1 journal.
 struct V1Scan {
     cells: Vec<(CellKey, ExpResult)>,
+    foreign: u64,
     corrupt: bool,
     bytes: u64,
     torn: u64,
@@ -818,6 +849,7 @@ fn scan_v1(dir: &Path) -> Option<V1Scan> {
     let scan = scan_bytes(&bytes, V1_MAGIC);
     Some(V1Scan {
         cells: scan.cells,
+        foreign: scan.foreign,
         corrupt: scan.corrupt,
         bytes: bytes.len() as u64,
         torn: scan.torn,
@@ -869,6 +901,7 @@ fn replay_locked(s: &mut State) -> ReplayStats {
     let mut healthy_keys: HashSet<CellKey> = HashSet::new();
     if let Some(g) = gen {
         stats.shards = g.shards;
+        stats.foreign += g.foreign;
         stats.torn_dropped += g.torn;
         stats.quarantined += g.quarantined;
         merged.extend(g.merged);
@@ -876,6 +909,7 @@ fn replay_locked(s: &mut State) -> ReplayStats {
     }
     let mut v1_healthy = false;
     if let Some(v) = v1 {
+        stats.foreign += v.foreign;
         stats.torn_dropped += v.torn;
         if v.corrupt {
             stats.quarantined += 1;
@@ -1087,12 +1121,14 @@ fn gc_locked(s: &mut State) -> Result<GcStats, String> {
     if let Some((_, gen_dir)) = &old {
         let g = scan_generation(&root, gen_dir);
         stats.shards_merged = g.shards;
+        stats.foreign_dropped += g.foreign;
         stats.quarantined += g.quarantined;
         stats.bytes_before += g.bytes;
         merged.extend(g.merged);
     }
     let mut v1_healthy = false;
     if let Some(v) = scan_v1(&dir) {
+        stats.foreign_dropped += v.foreign;
         if v.corrupt {
             stats.quarantined += 1;
             quarantine_v1(&dir);
@@ -1113,8 +1149,6 @@ fn gc_locked(s: &mut State) -> Result<GcStats, String> {
             scheme_code(k.scheme),
             pin_code(k.pin),
             k.seed,
-            k.reference_pipeline,
-            k.sampled,
         )
     });
 
@@ -1206,8 +1240,6 @@ mod tests {
             scheme: ColorScheme::MemLlcPart,
             pin: PinConfig::T8N2,
             seed: 7,
-            reference_pipeline: true,
-            sampled: false,
         };
         let r = ExpResult {
             metrics: RunMetrics {
@@ -1229,26 +1261,23 @@ mod tests {
             color_list_moves: 23,
             poisoned: false,
         };
-        let (k2, r2) = decode(&encode(&key, &r)).expect("roundtrip decodes");
-        assert_eq!(k2, key);
-        assert_eq!(r2, r);
+        let mut payload = encode(&key, &r);
+        match decode(&payload) {
+            Some(Record::Cell(k2, r2)) => assert_eq!((k2, r2), (key, r)),
+            other => panic!("roundtrip must decode as a cell, got {other:?}"),
+        }
 
-        // The mode byte also distinguishes sampled cells, and an exact-mode
-        // record (code 0) never decodes as sampled.
-        let sampled_key = CellKey {
-            reference_pipeline: false,
-            sampled: true,
-            ..key
-        };
-        let (k3, _) = decode(&encode(&sampled_key, &r)).expect("sampled roundtrip decodes");
-        assert_eq!(k3, sampled_key);
-        let exact_key = CellKey {
-            reference_pipeline: false,
-            sampled: false,
-            ..key
-        };
-        let (k4, _) = decode(&encode(&exact_key, &r)).expect("exact roundtrip decodes");
-        assert!(!k4.sampled && !k4.reference_pipeline);
+        // The mode byte follows fingerprint, scheme and pin. Removed
+        // engine modes decode as foreign records, unknown modes as
+        // corruption.
+        for (mode, foreign) in [(MODE_REFERENCE, true), (MODE_SAMPLED, true), (3, false)] {
+            payload[10] = mode;
+            match decode(&payload) {
+                Some(Record::Foreign) => assert!(foreign, "mode {mode}"),
+                None => assert!(!foreign, "mode {mode}"),
+                Some(Record::Cell(..)) => panic!("mode {mode} must never decode as a cell"),
+            }
+        }
     }
 
     #[test]
@@ -1258,8 +1287,6 @@ mod tests {
             scheme: ColorScheme::Buddy,
             pin: PinConfig::T4N1,
             seed: 1,
-            reference_pipeline: false,
-            sampled: false,
         };
         let r = ExpResult {
             metrics: RunMetrics::new(2),

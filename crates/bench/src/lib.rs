@@ -2,9 +2,10 @@
 //!
 //! Regenerates every results figure of the TintMalloc paper (Figures 10–14
 //! plus the latency claims of §V and the ablations listed in DESIGN.md).
-//! The `repro` binary prints each figure's rows; the wall-clock benches
-//! under `benches/` (driven by [`microbench`]) wrap the same experiments
-//! for timing regressions.
+//! The `repro` binary prints each figure's rows. The two microbenches
+//! under `benches/` (driven by [`microbench`]) time the latency matrix and
+//! colored free-list population; cold end-to-end wall time is measured by
+//! the separate `perfbench` package.
 //!
 //! EXPERIMENTS.md records the paper-vs-measured comparison produced by
 //! `cargo run --release -p tint-bench --bin repro -- all`.

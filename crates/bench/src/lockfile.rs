@@ -1,13 +1,14 @@
-//! Advisory `O_EXCL` lockfiles with stale-lock takeover.
+//! Advisory exclusive-create lockfiles with stale-lock takeover.
 //!
 //! Two harness paths need cross-*process* mutual exclusion on a shared
 //! file-system resource: journal generation GC ([`crate::journal::gc`])
 //! must never run twice concurrently over the same store, and concurrent
 //! `repro` processes finishing at the same time must not interleave their
 //! read-merge-write of `BENCH_repro.json`. Both use the same primitive: a
-//! lockfile created with `O_CREAT|O_EXCL` (atomic on every POSIX
-//! filesystem — exactly one creator wins) whose contents are the holder's
-//! pid.
+//! lockfile whose contents are the holder's pid, published by hard-linking
+//! an already-stamped temp file to the lock path (`link(2)` fails if the
+//! path exists, so exactly one creator wins, and no reader ever sees the
+//! lock without its pid).
 //!
 //! A crashed holder leaves the lockfile behind, so acquisition performs
 //! *stale-lock takeover*: if the recorded pid no longer names a live
@@ -20,8 +21,8 @@
 //! The lock is released on [`Drop`], so an early return cannot leak it;
 //! only a SIGKILL can, and that is exactly the case takeover handles.
 
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// A held lockfile; dropping it releases the lock.
@@ -46,16 +47,32 @@ impl Lockfile {
     /// Returns `Err` with a human-readable reason when a live process
     /// holds the lock or the filesystem refuses the create.
     pub fn acquire(path: &Path) -> Result<Self, String> {
+        // The lock is published fully stamped: the pid goes into a private
+        // temp file, which is then hard-linked to `path` (atomic, and fails
+        // if `path` exists). Creating `path` empty and stamping it after
+        // would let a racing acquirer read the empty lock as stale and
+        // delete it while it is held.
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let mut stamp = path.as_os_str().to_owned();
+        stamp.push(format!(
+            ".{}.{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let stamp = PathBuf::from(stamp);
+        std::fs::write(&stamp, format!("{}\n", std::process::id()))
+            .map_err(|e| format!("cannot create {}: {e}", stamp.display()))?;
+        let result = Self::publish(path, &stamp);
+        let _ = std::fs::remove_file(&stamp);
+        result
+    }
+
+    /// Link the stamped file `stamp` to `path`, with at most one
+    /// stale-lock takeover.
+    fn publish(path: &Path, stamp: &Path) -> Result<Self, String> {
         for _ in 0..2 {
-            match std::fs::OpenOptions::new()
-                .create_new(true)
-                .write(true)
-                .open(path)
-            {
-                Ok(mut f) => {
-                    // Best-effort pid stamp; an empty lock is still a lock
-                    // (it reads as stale-by-unparsable for takeover).
-                    let _ = writeln!(f, "{}", std::process::id());
+            match std::fs::hard_link(stamp, path) {
+                Ok(()) => {
                     return Ok(Self {
                         path: path.to_path_buf(),
                     });

@@ -55,7 +55,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, Once};
 use std::time::{Duration, Instant};
-use tint_spmd::{RunMetrics, SimThread};
+use tint_spmd::{Program, RunMetrics, SimThread};
 use tint_workloads::{PinConfig, Workload};
 use tintmalloc::prelude::*;
 
@@ -129,15 +129,16 @@ impl CellSpec<'_> {
     }
 }
 
-/// Actually simulate one cell on a fresh machine (no cache involvement).
-/// The seed drives boot noise (physical-layout jitter across the paper's
-/// repetitions) and the workloads' random streams.
-fn simulate_cell(
+/// Boot a fresh machine for one cell, spawn and color its thread team,
+/// and build its program: everything a cell simulation does before the
+/// program runs. The seed drives boot noise (physical-layout jitter across
+/// the paper's repetitions) and the workloads' random streams.
+pub fn boot_cell(
     workload: &dyn Workload,
     scheme: ColorScheme,
     pin: PinConfig,
     seed: u64,
-) -> ExpResult {
+) -> (System, Vec<SimThread>, Program<'static>) {
     let machine = MachineConfig::opteron_6128();
     let mut sys = System::boot(machine);
     // Jitter the physical layout: consume a pseudo-random number of low
@@ -145,7 +146,7 @@ fn simulate_cell(
     sys.boot_noise((seed.wrapping_mul(2654435761) % 2048) * 4);
 
     let cores = pin.cores();
-    let mut threads = SimThread::spawn_all(&mut sys, &cores);
+    let threads = SimThread::spawn_all(&mut sys, &cores);
     let plan = scheme.plan(sys.machine(), &cores);
     for (t, p) in threads.iter().zip(&plan) {
         sys.apply_colors(t.tid, p).expect("color plan applies");
@@ -154,6 +155,17 @@ fn simulate_cell(
     let program = workload
         .build(&mut sys, &threads, seed)
         .expect("workload builds");
+    (sys, threads, program)
+}
+
+/// Actually simulate one cell on a fresh machine (no cache involvement).
+fn simulate_cell(
+    workload: &dyn Workload,
+    scheme: ColorScheme,
+    pin: PinConfig,
+    seed: u64,
+) -> ExpResult {
+    let (mut sys, mut threads, program) = boot_cell(workload, scheme, pin, seed);
     let metrics = program.run(&mut sys, &mut threads).expect("program runs");
 
     let kstats = *sys.kernel().stats();

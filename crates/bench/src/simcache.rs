@@ -14,10 +14,7 @@
 //! * the [`ColorScheme`] and [`PinConfig`];
 //! * the repetition seed (each of the paper's repetitions is a distinct
 //!   cell: the seed jitters the boot-time physical layout and the
-//!   workloads' random streams, so seeds must never alias);
-//! * the engine mode ([`tint_spmd::reference_pipeline`]), so the
-//!   batched-vs-reference differential test keeps actually running both
-//!   pipelines.
+//!   workloads' random streams, so seeds must never alias).
 //!
 //! Correctness rests on one invariant, asserted end-to-end by
 //! `tests/cell_cache.rs`: cells are bit-deterministic, so serving a cached
@@ -47,27 +44,16 @@ pub struct CellKey {
     pub pin: PinConfig,
     /// Repetition seed (boot noise + workload random streams).
     pub seed: u64,
-    /// True when `TINT_REFERENCE_PIPELINE=1` routes the engine through the
-    /// reference heap loop — a different executable path that must never
-    /// share cells with the batched pipeline.
-    pub reference_pipeline: bool,
-    /// True when the engine runs in sampled mode
-    /// ([`tint_spmd::EngineMode::Sampled`]): its results are estimates and
-    /// must never be served for an exact-mode request (or vice versa).
-    pub sampled: bool,
 }
 
 impl CellKey {
-    /// The key for running `workload` under `(scheme, pin, seed)` with the
-    /// current engine mode.
+    /// The key for running `workload` under `(scheme, pin, seed)`.
     pub fn of(workload: &dyn Workload, scheme: ColorScheme, pin: PinConfig, seed: u64) -> Self {
         Self {
             fingerprint: workload.fingerprint(),
             scheme,
             pin,
             seed,
-            reference_pipeline: tint_spmd::reference_pipeline(),
-            sampled: tint_spmd::engine_mode() == tint_spmd::EngineMode::Sampled,
         }
     }
 }

@@ -12,10 +12,9 @@
 //! [`LOCK`] and restores the cache state it found.
 
 use std::sync::Mutex;
-use tint_bench::figures::{fig10, fig13_14, run_matrix, validate_sampled, FigOpts};
+use tint_bench::figures::{fig10, fig13_14, run_matrix, FigOpts};
 use tint_bench::runner::{run_cells, set_jobs, CellSpec};
 use tint_bench::simcache::{self, CellKey};
-use tint_spmd::{engine_mode, set_engine_mode, EngineMode};
 use tint_workloads::traits::Scale;
 use tint_workloads::{all_benchmarks, PinConfig, Synthetic, Workload};
 use tintmalloc::colors::ColorScheme;
@@ -203,96 +202,4 @@ fn duplicate_cells_in_one_batch_simulate_once() {
         assert_eq!(misses, 1, "one unique cell content, one simulation");
         assert_eq!(hits, 2, "the two duplicates are served, not re-run");
     });
-}
-
-// ---------------------------------------------------------------------------
-// Sampled engine mode (engine mode is process-global: serialize + restore)
-// ---------------------------------------------------------------------------
-
-/// Run `f` with the engine forced to `mode`, restoring the previous mode.
-fn with_engine<T>(mode: EngineMode, f: impl FnOnce() -> T) -> T {
-    let was = engine_mode();
-    set_engine_mode(mode);
-    let out = f();
-    set_engine_mode(was);
-    out
-}
-
-#[test]
-fn sampled_mode_is_a_distinct_cell_key() {
-    let _g = LOCK.lock().unwrap();
-    let w = Synthetic::new(Scale(0.1));
-    let key = |mode| {
-        with_engine(mode, || {
-            CellKey::of(&w, ColorScheme::Buddy, PinConfig::T16N4, 1)
-        })
-    };
-    assert_ne!(
-        key(EngineMode::Exact),
-        key(EngineMode::Sampled),
-        "exact and sampled runs of the same cell must never share a cache entry"
-    );
-    // And behaviorally: a figure fully cached in exact mode is re-simulated
-    // from scratch in sampled mode — zero hits cross the mode boundary.
-    let opts = quick();
-    with_cache(true, || {
-        with_engine(EngineMode::Exact, || fig10(&opts));
-        let (_, misses_exact) = simcache::stats();
-        let hits_before = simcache::stats().0;
-        with_engine(EngineMode::Sampled, || fig10(&opts));
-        let (hits_after, misses_sampled) = simcache::stats();
-        assert_eq!(
-            hits_after, hits_before,
-            "no exact cell serves a sampled run"
-        );
-        assert!(
-            misses_sampled > misses_exact,
-            "the sampled pass must simulate its own cells"
-        );
-    });
-}
-
-#[test]
-fn sampled_figures_byte_identical_jobs_1_vs_4() {
-    let _g = LOCK.lock().unwrap();
-    let opts = quick();
-    // The sampled schedule is seeded per (core, period), not per host
-    // thread, so the rendered tables must not depend on `--jobs`.
-    let render = |jobs: usize| {
-        set_jobs(jobs);
-        let mut s = String::new();
-        s.push_str(&opts.render(&fig10(&opts)));
-        let (summary, lbm) = fig13_14(&opts);
-        s.push_str(&opts.render(&summary));
-        s.push_str(&opts.render(&lbm));
-        s
-    };
-    let (serial, fanned) = with_cache(false, || {
-        with_engine(EngineMode::Sampled, || (render(1), render(4)))
-    });
-    set_jobs(0);
-    assert_eq!(
-        serial, fanned,
-        "sampled-mode figures must be byte-identical at --jobs 1 and --jobs 4"
-    );
-}
-
-#[test]
-fn validate_sampled_holds_error_bound_on_reduced_matrix() {
-    let _g = LOCK.lock().unwrap();
-    let opts = FigOpts {
-        reps: 1,
-        scale: 0.05,
-        csv: false,
-    };
-    // validate_sampled manages cache and engine mode itself; run it on one
-    // pin config and hard-assert the shipped default knobs hold the bound.
-    let v = validate_sampled(&opts, &[PinConfig::T16N4]);
-    assert!(
-        v.passed,
-        "default sampled knobs must stay within the error bound, got max {:.3}%",
-        v.max_err_pct
-    );
-    assert!(v.table.len() >= 2, "one row per validated figure metric");
-    assert_eq!(engine_mode(), EngineMode::Exact, "mode restored after run");
 }

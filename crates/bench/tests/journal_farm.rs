@@ -15,6 +15,8 @@
 //! 4. **GC atomicity**: `gc` commits a compacted generation with one
 //!    atomic rename; killed at *any* io operation it leaves a store that
 //!    replays the full live set, and the `gc.lock` never lingers.
+//! 5. **Foreign records**: records of removed engine modes are skipped,
+//!    never served, never mistaken for corruption, and dropped by GC.
 //!
 //! Journal/cache/fault state is process-global: tests serialize on
 //! [`LOCK`]; "process death" is [`journal::set_dir`] + [`simcache::clear`]
@@ -77,8 +79,6 @@ fn cell(i: u64) -> (CellKey, ExpResult) {
         scheme: ColorScheme::MemLlc,
         pin: PinConfig::T8N2,
         seed: i,
-        reference_pipeline: false,
-        sampled: false,
     };
     let r = ExpResult {
         metrics: RunMetrics {
@@ -511,6 +511,100 @@ fn gc_refuses_a_live_lock_and_takes_over_a_stale_one() {
         let stats = journal::gc().expect("stale lock is taken over");
         assert_eq!(stats.live_cells, 3);
         assert!(!lock.exists(), "lock released after gc");
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// 5. Records of removed engine modes are foreign, not corrupt
+// ---------------------------------------------------------------------------
+
+/// Byte offset of the mode byte in a record payload: it follows the
+/// fingerprint (u64), the scheme code (u8) and the pin code (u8).
+const MODE_BYTE: usize = 10;
+
+/// Split a shard into its framed `(len | crc | payload)` payloads.
+fn payloads(shard: &[u8]) -> Vec<Vec<u8>> {
+    let mut out = Vec::new();
+    let mut at = 8; // past the shard magic
+    while at < shard.len() {
+        let len = u32::from_le_bytes(shard[at..at + 4].try_into().unwrap()) as usize;
+        out.push(shard[at + 8..at + 8 + len].to_vec());
+        at += 8 + len;
+    }
+    out
+}
+
+/// Frame `payload` with its mode byte set to `mode`, as a journal that
+/// still had the reference (1) and sampled (2) engine modes wrote it.
+fn framed_with_mode(mut payload: Vec<u8>, mode: u8) -> Vec<u8> {
+    payload[MODE_BYTE] = mode;
+    let mut e = (payload.len() as u32).to_le_bytes().to_vec();
+    e.extend_from_slice(&journal::crc32(&payload).to_le_bytes());
+    e.extend_from_slice(&payload);
+    e
+}
+
+#[test]
+fn removed_engine_mode_records_are_foreign_not_corrupt() {
+    let _g = LOCK.lock().unwrap();
+    let dir = scratch("foreign");
+    isolated(|| {
+        // Current-format records: cell 0, cells 1 and 2, and a cell-0 key
+        // carrying a different result (the decoy a foreign record must
+        // never shadow the real cell with).
+        let mut decoy = cell(0).1;
+        decoy.metrics.runtime += 1;
+        journal::set_dir(Some(&dir));
+        for (k, r) in [cell(0), cell(1), cell(2), (cell(0).0, decoy)] {
+            journal::append(&k, &r);
+        }
+        journal::flush();
+        let shard = shard_paths(&dir).pop().expect("one shard");
+        let p = payloads(&std::fs::read(&shard).unwrap());
+        assert_eq!(p.len(), 4);
+        assert!(
+            p.iter().all(|x| x[MODE_BYTE] == 0),
+            "the engine writes mode 0"
+        );
+
+        // Rewrite the shard in the parent format: cell 0 in mode 0,
+        // cell 1 in mode 1, cell 2 and the decoy in mode 2.
+        let mut bytes = b"TINTJNL2".to_vec();
+        for (payload, mode) in p.into_iter().zip([0u8, 1, 2, 2]) {
+            bytes.extend(framed_with_mode(payload, mode));
+        }
+        std::fs::write(&shard, &bytes).unwrap();
+
+        rebirth(&dir);
+        let stats = journal::replay();
+        assert_eq!(stats.replayed, 1, "only the mode-0 cell is replayed");
+        assert_eq!(stats.foreign, 3);
+        assert_eq!(stats.quarantined, 0, "a foreign record is not corruption");
+        assert_eq!(stats.shards, 1);
+        assert!(shard.exists(), "the shard stays in place");
+        assert_eq!(simcache::lookup(&cell(0).0), Some(cell(0).1));
+        assert_eq!(simcache::lookup(&cell(1).0), None);
+        assert_eq!(simcache::lookup(&cell(2).0), None);
+
+        let gc = journal::gc().expect("gc succeeds");
+        assert_eq!(gc.live_cells, 1);
+        assert_eq!(gc.foreign_dropped, 3);
+        assert_eq!(gc.quarantined, 0);
+        rebirth(&dir);
+        let stats = journal::replay();
+        assert_eq!(
+            (stats.replayed, stats.foreign),
+            (1, 0),
+            "GC kept only cell 0"
+        );
+        assert_eq!(simcache::lookup(&cell(0).0), Some(cell(0).1));
+        let corrupt = std::fs::read_dir(journal::v2_root(&dir))
+            .unwrap()
+            .flatten()
+            .filter(|e| e.file_name().to_string_lossy().contains(".corrupt"))
+            .count();
+        assert_eq!(corrupt, 0, "nothing was quarantined");
     });
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -63,9 +63,8 @@ pub enum IndexMode {
 /// allocations, so a lookup touches exactly one contiguous tag stride.
 /// Splitting the owner byte out of the tag word keeps the hot scan a pure
 /// `u64 == u64` compare over a dense stride (no mask, trivially
-/// vectorizable) and lets the engine's batch presort prefetch tag strides
-/// for many independent lookups at once; the cold owner bytes are only
-/// touched on hits and evictions. Each occupied stride is kept in LRU
+/// vectorizable); the cold owner bytes are only touched on hits and
+/// evictions. Each occupied stride is kept in LRU
 /// order (most recent last); with the associativities in play (2–16) a
 /// rotate within the stride beats fancier structures.
 #[derive(Debug, Clone)]
@@ -250,32 +249,6 @@ impl SetAssocCache {
             self.owners[base + len] = core.index() as u8;
             self.lens[idx] = (len + 1) as u8;
             (false, None)
-        }
-    }
-
-    /// Hint the host CPU to pull set `idx`'s tag stride (and its occupancy
-    /// byte) into its own caches ahead of the walk. Purely a host-side
-    /// prefetch: no simulated state or counter changes.
-    #[inline]
-    pub fn prefetch_set(&self, idx: usize) {
-        debug_assert!(idx < self.set_count);
-        let base = idx * self.assoc;
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `base` and `idx` are in bounds (asserted above); prefetch
-        // itself is side-effect free.
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(self.tags.as_ptr().add(base).cast(), _MM_HINT_T0);
-            if self.assoc > 8 {
-                // Tag strides above 8 ways span a second host cache line.
-                _mm_prefetch(self.tags.as_ptr().add(base + 8).cast(), _MM_HINT_T0);
-            }
-            _mm_prefetch(self.lens.as_ptr().add(idx).cast(), _MM_HINT_T0);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            std::hint::black_box(&self.tags[base]);
-            std::hint::black_box(&self.lens[idx]);
         }
     }
 

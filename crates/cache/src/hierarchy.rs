@@ -194,32 +194,6 @@ impl CacheHierarchy {
         &self.l3
     }
 
-    /// Packed `(level, core, set)` keys — one per cache the walk for
-    /// `addr` from `core` may touch — appended to `out`. Sorting a batch
-    /// of these groups lookups by `(level, set stride)`, which is exactly
-    /// the order [`Self::prefetch_key`] wants them issued in: the host can
-    /// then overlap many independent tag-stride loads instead of chasing
-    /// one dependent load per simulated access. Read-only.
-    #[inline]
-    pub fn prefetch_keys(&self, core: CoreId, addr: PhysAddr, out: &mut Vec<u64>) {
-        let c = (core.index() as u64) << 32;
-        out.push(c | self.l1[core.index()].set_index(addr) as u64);
-        out.push((1 << 40) | c | self.l2[core.index()].set_index(addr) as u64);
-        out.push((2 << 40) | self.l3.set_index(addr) as u64);
-    }
-
-    /// Issue the host prefetch for one key from [`Self::prefetch_keys`].
-    #[inline]
-    pub fn prefetch_key(&self, key: u64) {
-        let set = (key & 0xFFFF_FFFF) as usize;
-        let core = ((key >> 32) & 0xFF) as usize;
-        match key >> 40 {
-            0 => self.l1[core].prefetch_set(set),
-            1 => self.l2[core].prefetch_set(set),
-            _ => self.l3.prefetch_set(set),
-        }
-    }
-
     /// Does any level currently hold `addr` for `core`?
     pub fn probe(&self, core: CoreId, addr: PhysAddr) -> Option<HitLevel> {
         let c = core.index();

@@ -40,7 +40,7 @@ impl CoreCacheStats {
 }
 
 /// Whole-hierarchy counters.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HierarchyStats {
     /// One entry per core.
     pub cores: Vec<CoreCacheStats>,

@@ -43,7 +43,7 @@ impl BankStats {
 }
 
 /// Machine-wide DRAM counters, indexable per bank and per node.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DramStats {
     /// One entry per bank color (global flattened bank coordinate).
     pub banks: Vec<BankStats>,

@@ -21,13 +21,10 @@
 //!   is only guaranteed byte-identical with profiling off (the tables
 //!   themselves never change, but wall-clock records do).
 //!
-//! Component nesting: `Engine` contains `Presort` (the batch MLP
-//! prefetch pass) and `Access` (everything the engine spends inside
-//! `System::access`); `Access` contains `Tlb` (translation, including
-//! page faults), `Hierarchy`, `Dram`, and `Decode`. In sampled engine
-//! mode `Access` additionally splits into `Warmup` (estimated accesses)
-//! vs `Detailed` (exact measurement windows). Consumers derive
-//! `scheduler = Engine − Presort − Access` and
+//! Component nesting: `Engine` contains `Access` (everything the engine
+//! spends inside `System::access`); `Access` contains `Tlb` (translation,
+//! including page faults), `Hierarchy`, `Dram`, and `Decode`. Consumers
+//! derive `scheduler = Engine − Access` and
 //! `access other = Access − (Tlb + Hierarchy + Dram + Decode)`.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -48,31 +45,14 @@ pub enum Component {
     Dram = 4,
     /// Physical frame → home-node decode.
     Decode = 5,
-    /// Batch MLP presort: collecting, sorting, and issuing tag-stride
-    /// prefetches for a refilled op batch (inside `Engine`).
-    Presort = 6,
-    /// Sampled engine mode: estimated warm-up accesses (inside `Access`).
-    Warmup = 7,
-    /// Sampled engine mode: exact detailed-window accesses (inside
-    /// `Access`).
-    Detailed = 8,
 }
 
 /// Number of components in [`Component`].
-pub const COMPONENT_COUNT: usize = 9;
+pub const COMPONENT_COUNT: usize = 6;
 
 /// Stable lower-case names, indexable by `Component as usize`.
-pub const COMPONENT_NAMES: [&str; COMPONENT_COUNT] = [
-    "engine",
-    "access",
-    "tlb",
-    "hierarchy",
-    "dram",
-    "decode",
-    "presort",
-    "warmup",
-    "detailed",
-];
+pub const COMPONENT_NAMES: [&str; COMPONENT_COUNT] =
+    ["engine", "access", "tlb", "hierarchy", "dram", "decode"];
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static NANOS: [AtomicU64; COMPONENT_COUNT] = [const { AtomicU64::new(0) }; COMPONENT_COUNT];

@@ -52,7 +52,7 @@ impl CoreMemStats {
 }
 
 /// Machine-wide memory-system counters.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemStats {
     /// One entry per core.
     pub cores: Vec<CoreMemStats>,

@@ -15,6 +15,8 @@
 //!   threads, always advance the one with the smallest local clock (ties by
 //!   thread index). Every run is bit-deterministic; contention emerges from
 //!   the timing model, not from host-thread scheduling.
+//! * [`oracle`] — the same scheduling rule as plain one-op-at-a-time heap
+//!   loops, kept only as the engine's test oracle.
 //! * [`program`] — fork-join program structure: alternating
 //!   [`program::Section::Serial`] and [`program::Section::Parallel`]
 //!   sections over a fixed set of [`engine::SimThread`]s.
@@ -44,13 +46,11 @@
 
 pub mod engine;
 pub mod metrics;
+pub mod oracle;
 pub mod program;
 pub mod scheduler;
 
-pub use engine::{
-    engine_mode, reference_pipeline, run_section_dynamic, set_engine_mode, EngineMode, Op,
-    SectionBody, SimThread,
-};
+pub use engine::{run_section_dynamic, Op, SectionBody, SimThread};
 pub use metrics::{RunMetrics, SectionOutcome};
 pub use program::{Program, Section};
 pub use scheduler::{ChurnOutcome, Job, PressureWindow, RoundRobin};

@@ -7,6 +7,7 @@
 
 use crate::engine::{run_section, run_section_dynamic, run_serial, SectionBody, SimThread};
 use crate::metrics::{RunMetrics, SectionOutcome};
+use crate::oracle::{run_section_dynamic_reference, run_section_reference, run_serial_reference};
 use tint_kernel::Errno;
 use tintmalloc::System;
 
@@ -68,31 +69,58 @@ impl<'a> Program<'a> {
     /// Execute the program on `threads`, folding parallel-section outcomes
     /// into [`RunMetrics`] per Algorithm 3.
     pub fn run(self, sys: &mut System, threads: &mut [SimThread]) -> Result<RunMetrics, Errno> {
+        self.fold(sys, threads, false)
+    }
+
+    /// [`Self::run`] on the test oracle: every section goes through the
+    /// one-op-at-a-time heap loops of [`crate::oracle`], with the same
+    /// section/metrics fold. Differential tests compare the two.
+    pub fn run_reference(
+        self,
+        sys: &mut System,
+        threads: &mut [SimThread],
+    ) -> Result<RunMetrics, Errno> {
+        self.fold(sys, threads, true)
+    }
+
+    fn fold(
+        self,
+        sys: &mut System,
+        threads: &mut [SimThread],
+        oracle: bool,
+    ) -> Result<RunMetrics, Errno> {
         let start = threads.iter().map(|t| t.clock).max().unwrap_or(0);
         for t in threads.iter_mut() {
             t.clock = start;
         }
         let mut metrics = RunMetrics::new(threads.len());
         for section in self.sections {
+            let sec_start = threads[0].clock;
             match section {
                 Section::Serial(mut body) => {
-                    let before = threads[0].clock;
-                    let end = run_serial(sys, threads, body.as_mut(), self.ops_budget)?;
-                    metrics.serial_cycles += end - before;
+                    let body = body.as_mut();
+                    let end = if oracle {
+                        run_serial_reference(sys, threads, body, self.ops_budget)?
+                    } else {
+                        run_serial(sys, threads, body, self.ops_budget)?
+                    };
+                    metrics.serial_cycles += end - sec_start;
                 }
                 Section::Parallel(mut bodies) => {
-                    let sec_start = threads[0].clock;
-                    let end = run_section(sys, threads, &mut bodies, self.ops_budget)?;
+                    let end = if oracle {
+                        run_section_reference(sys, threads, &mut bodies, self.ops_budget)?
+                    } else {
+                        run_section(sys, threads, &mut bodies, self.ops_budget)?
+                    };
                     metrics.add_section(&SectionOutcome::new(sec_start, end));
                 }
                 Section::ParallelDynamic(chunks) => {
-                    let sec_start = threads[0].clock;
-                    let end = run_section_dynamic(
-                        sys,
-                        threads,
-                        chunks.into_iter().collect(),
-                        self.ops_budget,
-                    )?;
+                    let chunks = chunks.into_iter().collect();
+                    let end = if oracle {
+                        run_section_dynamic_reference(sys, threads, chunks, self.ops_budget)?
+                    } else {
+                        run_section_dynamic(sys, threads, chunks, self.ops_budget)?
+                    };
                     metrics.add_section(&SectionOutcome::new(sec_start, end));
                 }
             }
