@@ -109,9 +109,8 @@ use tint_bench::figures::{
 use tint_bench::hostfault::{self, HostFaultPlan};
 use tint_bench::journal;
 use tint_bench::runner::{
-    available_jobs, cell_retries, cell_timeout, install_cancel_handlers, parse_jobs,
-    poisoned_cells, pressure_stats, retries_used, set_jobs, set_strict_deadline, simulated_cycles,
-    validate_env_jobs,
+    available_jobs, install_cancel_handlers, parse_jobs, poisoned_cells, pressure_stats,
+    retries_used, set_jobs, set_strict_deadline, simulated_cycles, validate_env,
 };
 use tint_bench::simcache;
 use tint_bench::table::Table;
@@ -416,9 +415,10 @@ fn main() {
     if opts.scale.is_nan() || opts.scale < 0.0 {
         fail("--scale must be non-negative");
     }
-    // Environment knobs are validated up front: a typo'd TINT_JOBS or
-    // TINT_HOST_FAULT must stop the run before 20 minutes of simulation.
-    if let Err(e) = validate_env_jobs() {
+    // Environment knobs are validated up front: a typo'd TINT_JOBS,
+    // TINT_CELL_RETRIES, TINT_CELL_TIMEOUT_S or TINT_HOST_FAULT must stop
+    // the run before 20 minutes of simulation.
+    if let Err(e) = validate_env() {
         fail(&e);
     }
     if let Ok(v) = std::env::var("TINT_HOST_FAULT") {
@@ -427,8 +427,6 @@ fn main() {
             Err(e) => fail(&format!("invalid TINT_HOST_FAULT: {e}")),
         }
     }
-    let _ = cell_retries(); // surface a TINT_CELL_RETRIES warning early
-    let _ = cell_timeout(); // likewise for TINT_CELL_TIMEOUT_S
 
     // Durability and graceful shutdown: arm the journal (TINT_JOURNAL=0
     // disables, TINT_JOURNAL=<dir> relocates), replay prior completed

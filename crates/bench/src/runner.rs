@@ -272,21 +272,27 @@ pub fn set_cell_retries(retries: Option<u32>) {
     );
 }
 
+/// Parse a `TINT_CELL_RETRIES` value: a retry count.
+fn parse_cell_retries(s: &str) -> Result<u32, String> {
+    s.trim()
+        .parse()
+        .map_err(|_| format!("{s:?} is not a retry count (want a u32)"))
+}
+
 /// Retries per panicking cell: the override, else `TINT_CELL_RETRIES`,
-/// else 2. An unparsable env value warns once and falls back.
+/// else 2. An unparsable env value warns once and falls back (the `repro`
+/// binary rejects it up front via [`validate_env`]).
 pub fn cell_retries() -> u32 {
     let forced = RETRIES_OVERRIDE.load(Ordering::Relaxed);
     if forced != usize::MAX {
         return forced as u32;
     }
     if let Ok(v) = std::env::var("TINT_CELL_RETRIES") {
-        match v.trim().parse::<u32>() {
+        match parse_cell_retries(&v) {
             Ok(n) => return n,
-            Err(_) => {
+            Err(e) => {
                 static WARN: Once = Once::new();
-                WARN.call_once(|| {
-                    eprintln!("warning: ignoring unparsable TINT_CELL_RETRIES={v:?} (want a u32)")
-                });
+                WARN.call_once(|| eprintln!("warning: ignoring TINT_CELL_RETRIES: {e}"));
             }
         }
     }
@@ -302,24 +308,28 @@ pub fn set_cell_timeout_ms(ms: Option<u64>) {
     TIMEOUT_OVERRIDE_MS.store(ms.unwrap_or(u64::MAX), Ordering::Relaxed);
 }
 
-/// The soft per-cell deadline, if armed: the override, else a positive
-/// `TINT_CELL_TIMEOUT_S` (seconds, fractional ok). Unparsable env values
-/// warn once and disarm.
+/// Parse a `TINT_CELL_TIMEOUT_S` value: seconds > 0, fractional ok.
+fn parse_cell_timeout(s: &str) -> Result<Duration, String> {
+    match s.trim().parse::<f64>().map(Duration::try_from_secs_f64) {
+        Ok(Ok(d)) if !d.is_zero() => Ok(d),
+        _ => Err(format!("{s:?} is not a timeout (want seconds > 0)")),
+    }
+}
+
+/// The soft per-cell deadline, if armed: the override, else
+/// `TINT_CELL_TIMEOUT_S`. An unparsable env value warns once and disarms
+/// (the `repro` binary rejects it up front via [`validate_env`]).
 pub fn cell_timeout() -> Option<Duration> {
     let forced = TIMEOUT_OVERRIDE_MS.load(Ordering::Relaxed);
     if forced != u64::MAX {
         return Some(Duration::from_millis(forced));
     }
     let v = std::env::var("TINT_CELL_TIMEOUT_S").ok()?;
-    match v.trim().parse::<f64>() {
-        Ok(s) if s > 0.0 && s.is_finite() => Some(Duration::from_secs_f64(s)),
-        _ => {
+    match parse_cell_timeout(&v) {
+        Ok(d) => Some(d),
+        Err(e) => {
             static WARN: Once = Once::new();
-            WARN.call_once(|| {
-                eprintln!(
-                    "warning: ignoring unparsable TINT_CELL_TIMEOUT_S={v:?} (want seconds > 0)"
-                )
-            });
+            WARN.call_once(|| eprintln!("warning: ignoring TINT_CELL_TIMEOUT_S: {e}"));
             None
         }
     }
@@ -613,21 +623,27 @@ pub fn parse_jobs(s: &str) -> Result<usize, String> {
 }
 
 /// Validate the executor-related environment up front (`repro` startup):
-/// a bad `TINT_JOBS` is a hard error there, not a silent fallback.
-pub fn validate_env_jobs() -> Result<(), String> {
-    match std::env::var("TINT_JOBS") {
-        Ok(v) => parse_jobs(&v)
-            .map(|_| ())
-            .map_err(|e| format!("invalid TINT_JOBS: {e}")),
-        Err(_) => Ok(()),
+/// a malformed `TINT_JOBS`, `TINT_CELL_RETRIES` or `TINT_CELL_TIMEOUT_S`
+/// is a hard error there, not a silent fallback.
+pub fn validate_env() -> Result<(), String> {
+    fn check<T>(var: &str, parse: fn(&str) -> Result<T, String>) -> Result<(), String> {
+        match std::env::var(var) {
+            Ok(v) => parse(&v)
+                .map(drop)
+                .map_err(|e| format!("invalid {var}: {e}")),
+            Err(_) => Ok(()),
+        }
     }
+    check("TINT_JOBS", parse_jobs)?;
+    check("TINT_CELL_RETRIES", parse_cell_retries)?;
+    check("TINT_CELL_TIMEOUT_S", parse_cell_timeout)
 }
 
 /// Number of worker threads the matrix executor uses by default: the
 /// `--jobs` flag if given, else a valid `TINT_JOBS` env override, else the
 /// host's available parallelism. Always ≥ 1. (Precedence: the flag wins;
 /// an invalid env value warns once and is ignored here — the `repro`
-/// binary rejects it up front via [`validate_env_jobs`].)
+/// binary rejects it up front via [`validate_env`].)
 pub fn available_jobs() -> usize {
     let forced = JOBS_OVERRIDE.load(Ordering::Relaxed);
     if forced > 0 {

@@ -188,6 +188,13 @@ pub struct Kernel {
     /// frame" answer — genuine redundancy against the page tables, which is
     /// what makes the incremental audit able to *catch* drift rather than
     /// re-derive it.
+    ///
+    /// The sentinel is `0` (the vm index is stored `+ 1`) so the table can
+    /// be allocated with `vec![0; n]`. That goes through `alloc_zeroed`,
+    /// and the allocator hands a table this large back as fresh zero pages
+    /// that the host commits only on first write: boot costs O(1) in
+    /// installed memory instead of writing one entry per frame, and a run
+    /// commits only the rmap pages its faults touch.
     rmap: Vec<u64>,
     /// Pages currently resident across all address spaces (PTE count).
     /// Redundant with walking every VM; kept incrementally so the auditor's
@@ -195,8 +202,9 @@ pub struct Kernel {
     resident_pages: u64,
 }
 
-/// [`Kernel::rmap`] sentinel: the frame backs no translation.
-const RMAP_NONE: u64 = u64::MAX;
+/// [`Kernel::rmap`] sentinel: the frame backs no translation. Zero, so a
+/// zero-filled table starts out empty (see [`Kernel::rmap`]).
+const RMAP_NONE: u64 = 0;
 
 /// Bits of the packed rmap entry reserved for the page number.
 const RMAP_PAGE_BITS: u32 = 44;
@@ -222,7 +230,7 @@ impl Kernel {
             fault: None,
             untracked_pages: 0,
             watermarks: Watermarks::for_frames(mapping.frame_count()),
-            rmap: vec![RMAP_NONE; mapping.frame_count() as usize],
+            rmap: vec![0; mapping.frame_count() as usize],
             resident_pages: 0,
             mapping,
         }
@@ -559,20 +567,22 @@ impl Kernel {
         budget
     }
 
-    /// Pack an rmap entry.
+    /// Pack an rmap entry. The vm index is stored `+ 1`, so no packed
+    /// entry — not even vm 0, page 0 — equals [`RMAP_NONE`].
     fn rmap_pack(vm: usize, page: u64) -> u64 {
         assert!(page < 1 << RMAP_PAGE_BITS, "page number beyond rmap range");
         assert!(
             (vm as u64) < (1 << (64 - RMAP_PAGE_BITS)) - 1,
             "vm index beyond rmap range"
         );
-        ((vm as u64) << RMAP_PAGE_BITS) | page
+        ((vm as u64 + 1) << RMAP_PAGE_BITS) | page
     }
 
-    /// Unpack an rmap entry into `(vm index, page number)`.
+    /// Unpack an rmap entry (never [`RMAP_NONE`]) into `(vm index, page
+    /// number)`.
     fn rmap_unpack(entry: u64) -> (usize, u64) {
         (
-            (entry >> RMAP_PAGE_BITS) as usize,
+            (entry >> RMAP_PAGE_BITS) as usize - 1,
             entry & ((1 << RMAP_PAGE_BITS) - 1),
         )
     }
@@ -2510,6 +2520,51 @@ mod tests {
         k.rmap[frame.0 as usize] = Kernel::rmap_pack(0, 1);
         let mut cursor = AuditCursor::default();
         k.audit_step(&mut cursor, k.mapping().frame_count());
+    }
+
+    #[test]
+    fn rmap_encoding_never_packs_the_sentinel() {
+        // The zero sentinel's trap: vm 0, page 0 must still be an entry.
+        assert_ne!(Kernel::rmap_pack(0, 0), RMAP_NONE);
+        assert_eq!(Kernel::rmap_unpack(Kernel::rmap_pack(0, 0)), (0, 0));
+        let max_vm = (1usize << (64 - RMAP_PAGE_BITS)) - 2;
+        let max_page = (1u64 << RMAP_PAGE_BITS) - 1;
+        for (vm, page) in [(max_vm, 0), (0, max_page), (max_vm, max_page), (7, 12345)] {
+            let entry = Kernel::rmap_pack(vm, page);
+            assert_ne!(entry, RMAP_NONE);
+            assert_eq!(Kernel::rmap_unpack(entry), (vm, page));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "vm index beyond rmap range")]
+    fn rmap_pack_rejects_a_vm_index_past_the_field() {
+        Kernel::rmap_pack((1usize << (64 - RMAP_PAGE_BITS)) - 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "page-table-owned but has no rmap entry")]
+    fn check_invariants_catches_a_cleared_rmap_entry() {
+        let mut k = kernel();
+        let tid = k.create_task(CoreId(0));
+        let base = k.sys_mmap(tid, 0, PAGE_SIZE, 0).unwrap();
+        let frame = k.translate(tid, base).unwrap().phys.frame();
+        k.rmap[frame.0 as usize] = RMAP_NONE;
+        k.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "rmapped but not page-table-owned")]
+    fn check_invariants_catches_a_stray_rmap_entry_on_a_free_frame() {
+        let mut k = kernel();
+        let tid = k.create_task(CoreId(0));
+        let base = k.sys_mmap(tid, 0, PAGE_SIZE, 0).unwrap();
+        k.translate(tid, base).unwrap();
+        let free = (0..k.mapping().frame_count())
+            .find(|&f| k.buddy.contains_frame(FrameNumber(f)))
+            .expect("a booted machine has free frames");
+        k.rmap[free as usize] = Kernel::rmap_pack(0, 0);
+        k.check_invariants();
     }
 
     #[test]
