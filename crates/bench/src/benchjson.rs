@@ -12,12 +12,12 @@
 //!   into*, not clobbered: `repro probe:lbm` after `repro all` keeps the
 //!   figure records;
 //! * **concurrent-writer safety** — the read-merge-write runs under a
-//!   `<path>.lock` [`Lockfile`] (`O_EXCL` + stale-lock takeover, see
-//!   [`crate::lockfile`]), so two `repro` processes finishing at the same
-//!   time serialize their merges instead of silently dropping each other's
-//!   blocks. A live holder is waited on briefly; on timeout the write
-//!   proceeds unlocked with a warning — losing a perf record beats hanging
-//!   the run;
+//!   `<path>.lock` [`Lockfile`] (an advisory lock the kernel drops when
+//!   its holder exits, see [`crate::lockfile`]), so two `repro` processes
+//!   finishing at the same time serialize their merges instead of
+//!   silently dropping each other's blocks. A live holder is waited on
+//!   briefly; on timeout the write proceeds unlocked with a warning —
+//!   losing a perf record beats hanging the run;
 //! * **quarantine, don't trust** — a truncated/corrupt existing file is
 //!   renamed to `<path>.corrupt` and treated as absent.
 //!
@@ -29,7 +29,6 @@ use crate::lockfile::Lockfile;
 use crate::table::Table;
 use std::path::Path;
 use std::time::Duration;
-use tint_hw::profile::{self, COMPONENT_COUNT};
 
 /// How long a writer waits for a live sibling's `<path>.lock`.
 const LOCK_WAIT: Duration = Duration::from_secs(5);
@@ -46,8 +45,6 @@ pub struct CmdRecord {
     pub cache_hits: u64,
     /// Cells this command actually simulated.
     pub cache_misses: u64,
-    /// Per-component nanoseconds when `--profile` was on.
-    pub profile: Option<[u64; COMPONENT_COUNT]>,
 }
 
 /// Run-wide counters for the `invocation` block, collected by the caller
@@ -107,9 +104,9 @@ fn json_table(t: &Table, indent: &str) -> String {
 
 /// Serialize one command record as a single JSON object line (no indent).
 fn record_json(r: &CmdRecord) -> String {
-    let mut s = format!(
+    format!(
         "{{\"name\": \"{}\", \"wall_ms\": {:.3}, \"sim_cycles\": {}, \"reps\": {}, \"scale\": {}, \
-         \"cache_hits\": {}, \"cache_misses\": {}",
+         \"cache_hits\": {}, \"cache_misses\": {}}}",
         json_escape(&r.name),
         r.wall_ms,
         r.sim_cycles,
@@ -117,17 +114,7 @@ fn record_json(r: &CmdRecord) -> String {
         r.scale,
         r.cache_hits,
         r.cache_misses,
-    );
-    if let Some(nanos) = &r.profile {
-        let fields: Vec<String> = profile::COMPONENT_NAMES
-            .iter()
-            .zip(nanos)
-            .map(|(n, &v)| format!("\"{}_ms\": {:.3}", n, v as f64 / 1e6))
-            .collect();
-        s.push_str(&format!(", \"profile\": {{{}}}", fields.join(", ")));
-    }
-    s.push('}');
-    s
+    )
 }
 
 /// What survives from an existing `BENCH_repro.json`: the per-command
@@ -378,7 +365,6 @@ mod tests {
             scale: 1.0,
             cache_hits: 0,
             cache_misses: 1,
-            profile: None,
         }
     }
 
@@ -454,7 +440,7 @@ mod tests {
             assert_eq!(json_field_num(line, "wall_ms"), Some(20.0), "{name}");
         }
         // The lock is released at the end.
-        assert!(!dir.join("BENCH_repro.json.lock").exists());
+        Lockfile::acquire(&dir.join("BENCH_repro.json.lock")).expect("lock released");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

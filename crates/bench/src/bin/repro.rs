@@ -1,8 +1,8 @@
 //! `repro` — regenerate every results figure of the TintMalloc paper.
 //!
 //! ```text
-//! repro [--reps N] [--scale F] [--csv] [--profile] [--jobs N]
-//!       [--strict-deadline] [--configs 16t4n,8t4n,...] <command>...
+//! repro [--reps N] [--scale F] [--csv] [--jobs N]
+//!       [--configs 16t4n,8t4n,...] <command>...
 //!
 //! commands:
 //!   fig10              synthetic benchmark by coloring policy
@@ -10,8 +10,8 @@
 //!   fig12              normalized total idle times
 //!   fig13              per-thread runtimes at 16_threads_4_nodes
 //!   fig14              per-thread idle times at 16_threads_4_nodes
-//!   latency            local/remote + bank + LLC latency microbenchmarks
-//!   bandwidth          bank/controller parallelism microbenchmark
+//!   latency            local/remote + bank + LLC latency measurements
+//!   bandwidth          bank/controller parallelism (achieved bandwidth)
 //!   ablate-part        full vs partial coloring
 //!   ablate-firsttouch  legacy buddy vs NUMA buddy vs MEM coloring
 //!   ablate-migrate     dynamic recoloring via page migration (extension)
@@ -29,8 +29,9 @@
 //! ```
 //!
 //! Every number comes from the one exact SPMD engine (`tint_spmd::engine`);
-//! there is no estimated mode. An unknown flag or command is rejected
-//! before any work starts: one `repro: ...` line on stderr, exit code 2.
+//! there is no estimated mode. An unknown flag, command or `probe:<bench>`
+//! name is rejected before any work starts: one `repro: ...` line on
+//! stderr, exit code 2.
 //!
 //! Multiple commands run in sequence within one process. Two layers keep
 //! the sequence from repeating work: the `BenchMatrix` behind fig11/fig12
@@ -64,9 +65,9 @@
 //! share one journal directory with no locks on the append path; replay
 //! merges every shard. `repro gc-journal` compacts the store — live
 //! deduped cells are rewritten into a fresh generation and committed with
-//! one atomic rename (guarded by an `O_EXCL` lockfile with stale-lock
-//! takeover), so a crash mid-GC leaves the old or new generation fully
-//! intact. On persistent I/O failure (disk full, I/O errors — or the
+//! one atomic rename (guarded by an advisory file lock that the kernel
+//! drops when its holder exits), so a crash mid-GC leaves the old or new
+//! generation fully intact. On persistent I/O failure (disk full, I/O errors — or the
 //! seeded `TINT_HOST_FAULT=io:<permille>:<seed>` harness) the journal
 //! warns once, disarms itself, and the run completes journal-less with
 //! byte-identical figures.
@@ -74,10 +75,10 @@
 //! Workers are panic-isolated: a panicking cell is retried up to
 //! `TINT_CELL_RETRIES` times (default 2), then recorded as a poisoned cell
 //! that renders as `ERR` and makes the run exit 1 instead of aborting the
-//! matrix. `TINT_CELL_TIMEOUT_S=<secs>` arms a watchdog that warns about
-//! overdue cells; with `--strict-deadline` an overdue cell is poisoned and
-//! a cell stuck past 20× the deadline aborts the (resumable) run with
-//! exit code 124. SIGINT/SIGTERM drain workers at the next cell boundary,
+//! matrix. `TINT_CELL_TIMEOUT_S=<secs>` arms a watchdog that warns once
+//! about each overdue cell and never stops it; per-layer host cost is
+//! measured from outside the crates by `perfbench --trace 1`.
+//! SIGINT/SIGTERM drain workers at the next cell boundary,
 //! flush the journal, and exit 130 with a resume notice.
 //! `TINT_HOST_FAULT=panic:<permille>:<seed>` arms the deterministic
 //! host-fault harness (worker panics on schedule) that exercises all of
@@ -93,12 +94,6 @@
 //! keeps the figure records. The `invocation` block describes only the
 //! commands this run executed; the `total` block sums over every merged
 //! record.
-//!
-//! `--profile` turns on the pipeline self-profile (see `tint_hw::profile`):
-//! per-component wall time — scheduler, TLB, cache hierarchy, DRAM, frame
-//! decode — printed as a table after each command and recorded in the JSON.
-//! The timing probes themselves cost time, so wall_ms measured under
-//! `--profile` is inflated; figure *tables* are unaffected.
 
 use tint_bench::benchjson::{write_bench_json, CmdRecord, InvocationMeta};
 use tint_bench::figures::{
@@ -110,12 +105,12 @@ use tint_bench::hostfault::{self, HostFaultPlan};
 use tint_bench::journal;
 use tint_bench::runner::{
     available_jobs, install_cancel_handlers, parse_jobs, poisoned_cells, pressure_stats,
-    retries_used, set_jobs, set_strict_deadline, simulated_cycles, validate_env,
+    retries_used, set_jobs, simulated_cycles, validate_env,
 };
 use tint_bench::simcache;
 use tint_bench::table::Table;
-use tint_hw::profile::{self, Component, COMPONENT_COUNT};
-use tint_workloads::PinConfig;
+use tint_workloads::traits::Scale;
+use tint_workloads::{all_benchmarks, PinConfig};
 
 /// Every command [`run_cmd`] dispatches, besides `probe:<bench>`.
 const COMMANDS: [&str; 18] = [
@@ -154,36 +149,6 @@ fn parse_config(s: &str) -> Option<PinConfig> {
         "4t1n" => Some(PinConfig::T4N1),
         _ => None,
     }
-}
-
-/// Render one command's component profile as a table with derived rows.
-/// `Engine` contains `Access`, which contains the four leaf components, so
-/// the interesting shares are the subtractions.
-fn profile_table(nanos: &[u64; COMPONENT_COUNT], wall_ms: f64) -> Table {
-    let ms = |c: Component| nanos[c as usize] as f64 / 1e6;
-    let engine = ms(Component::Engine);
-    let access = ms(Component::Access);
-    let leaves =
-        ms(Component::Tlb) + ms(Component::Hierarchy) + ms(Component::Dram) + ms(Component::Decode);
-    let mut t = Table::new(vec!["component", "ms", "share_of_engine"]);
-    let share = |v: f64| {
-        if engine > 0.0 {
-            format!("{:.1}%", 100.0 * v / engine)
-        } else {
-            "-".to_string()
-        }
-    };
-    let mut row = |name: &str, v: f64| t.row(vec![name.to_string(), format!("{v:.1}"), share(v)]);
-    row("engine (sections total)", engine);
-    row("  scheduler (engine - access)", engine - access);
-    row("  access (System::access)", access);
-    row("    tlb + translate", ms(Component::Tlb));
-    row("    cache hierarchy", ms(Component::Hierarchy));
-    row("    dram timing", ms(Component::Dram));
-    row("    frame decode", ms(Component::Decode));
-    row("    access other", access - leaves);
-    row("outside engine (setup, alloc)", wall_ms - engine);
-    t
 }
 
 /// Per-invocation state shared across commands: the fig11/fig12 matrix is
@@ -250,7 +215,6 @@ fn run_cmd(ctx: &mut Ctx, cmd: &str) {
                 row("live cells", g.live_cells.to_string());
                 row("shards merged", g.shards_merged.to_string());
                 row("shards quarantined", g.quarantined.to_string());
-                row("v1 cells absorbed", g.v1_absorbed.to_string());
                 row("foreign records dropped", g.foreign_dropped.to_string());
                 row("bytes before", g.bytes_before.to_string());
                 row("bytes after", g.bytes_after.to_string());
@@ -379,8 +343,6 @@ fn main() {
                     .unwrap_or_else(|_| fail("--scale wants a number"));
             }
             "--csv" => opts.csv = true,
-            "--profile" => profile::set_enabled(true),
-            "--strict-deadline" => set_strict_deadline(true),
             "--jobs" => match parse_jobs(arg(&mut it, "--jobs")) {
                 Ok(n) => set_jobs(n),
                 Err(e) => fail(&format!("invalid --jobs: {e}")),
@@ -407,6 +369,17 @@ fn main() {
         fail(&format!(
             "unknown command {c:?} (commands: {}, probe:<bench>)",
             COMMANDS.join(", ")
+        ));
+    }
+    let benches = all_benchmarks(Scale(1.0));
+    if let Some(c) = cmds.iter().find(|c| {
+        c.strip_prefix("probe:")
+            .is_some_and(|b| !benches.iter().any(|w| w.name() == b))
+    }) {
+        let names: Vec<&str> = benches.iter().map(|w| w.name()).collect();
+        fail(&format!(
+            "unknown benchmark {c:?} (benchmarks: {})",
+            names.join(", ")
         ));
     }
     if opts.reps < 1 {
@@ -437,14 +410,9 @@ fn main() {
     let replay = journal::replay();
     if replay.replayed > 0 || replay.quarantined > 0 {
         eprintln!(
-            "journal: replayed {} completed cells from {} shard(s){}{}{}",
+            "journal: replayed {} completed cells from {} shard(s){}{}",
             replay.replayed,
             replay.shards,
-            if replay.v1_absorbed > 0 {
-                format!(" ({} absorbed from a v1 journal)", replay.v1_absorbed)
-            } else {
-                String::new()
-            },
             if replay.torn_dropped > 0 {
                 " (dropped a torn final write)"
             } else {
@@ -472,18 +440,11 @@ fn main() {
     for cmd in &cmds {
         let cycles_before = simulated_cycles();
         let (hits_before, misses_before) = simcache::stats();
-        profile::reset();
         let start = std::time::Instant::now();
         run_cmd(&mut ctx, cmd);
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         let (hits_after, misses_after) = simcache::stats();
         let (cache_hits, cache_misses) = (hits_after - hits_before, misses_after - misses_before);
-        let prof = profile::enabled().then(profile::snapshot);
-        if let Some(nanos) = &prof {
-            println!("-- pipeline self-profile ({cmd}) --");
-            print!("{}", ctx.opts.render(&profile_table(nanos, wall_ms)));
-            println!("cell cache: {cache_hits} hits, {cache_misses} misses");
-        }
         records.push(CmdRecord {
             name: cmd.clone(),
             wall_ms,
@@ -492,7 +453,6 @@ fn main() {
             scale: ctx.opts.scale,
             cache_hits,
             cache_misses,
-            profile: prof,
         });
     }
     journal::flush();

@@ -361,7 +361,7 @@ pub fn fig13_14(opts: &FigOpts) -> (Table, Table) {
     (summary, lbm_detail)
 }
 
-/// **§V claims (1)–(2)** — pointed latency microbenchmarks on the memory
+/// **§V claims (1)–(2)** — pointed latency measurements on the memory
 /// system: local vs remote controller, bank sharing, LLC interference.
 pub fn latency(_opts: &FigOpts) -> Table {
     use tint_hw::types::{BankColor, FrameNumber, LlcColor, PhysAddr};

@@ -16,10 +16,8 @@
 //!
 //! ```text
 //! <journal dir>/
-//!   cells.v1.jnl              legacy single-file journal (read-once; see below)
-//!   cells.v1.jnl.migrated     marker: the v1 file has been absorbed
 //!   cells.v2/                 the store root
-//!     gc.lock                 O_EXCL GC lockfile (only while GC runs)
+//!     gc.lock                 GC lock file (locked only while GC runs)
 //!     gen-00000001/           a *generation*: a directory of shards
 //!       <pid>-<nonce>.jnl     one append-only shard per writer process
 //!     gen-00000002.tmp.<pid>  an uncommitted GC build (ignored by replay)
@@ -67,9 +65,10 @@
 //! a `gen-<N+1>.tmp.<pid>` build directory, fsyncs, and commits with a
 //! **single atomic rename** to `gen-<N+1>` — so a crash at any point
 //! leaves either the old or the new generation fully intact, and
-//! concurrent readers of the old generation are unaffected. A `gc.lock`
-//! `O_EXCL` lockfile (with stale-lock takeover, see [`crate::lockfile`])
-//! keeps two GCs from racing. Old generations are removed only after the
+//! concurrent readers of the old generation are unaffected. An advisory
+//! lock on `gc.lock` (see [`crate::lockfile`]) keeps two GCs from racing;
+//! the kernel drops it when its holder exits, so a killed GC never blocks
+//! the next one. Old generations are removed only after the
 //! commit rename.
 //!
 //! ## Fault tolerance (degradation contract)
@@ -83,14 +82,6 @@
 //! never a panic, never a corrupted good prefix. Figures are computed
 //! from in-memory results and are unaffected.
 //!
-//! ## v1 migration
-//!
-//! A legacy `cells.v1.jnl` (magic `TINTJNL1`, same framing) is read once
-//! on first v2 replay, absorbed into this process's shard, and a
-//! `cells.v1.jnl.migrated` marker is dropped so later replays skip it;
-//! the v1 file itself is left untouched (a corrupt v1 is quarantined to
-//! `cells.v1.jnl.corrupt.<n>` like any shard).
-//!
 //! ## Activation
 //!
 //! The journal is inert until armed. The `repro` binary arms it at startup
@@ -101,8 +92,8 @@
 //! serving path): with `TINT_SIM_CACHE=0` the journal still records
 //! completed cells but cannot serve them.
 //!
-//! Poisoned cells (worker panics, deadline kills — see
-//! [`crate::runner`]) are never journaled: a resume retries them.
+//! Poisoned cells (worker panics — see [`crate::runner`]) are never
+//! journaled: a resume retries them.
 
 use crate::hostfault::{self, IoFault};
 use crate::lockfile::Lockfile;
@@ -119,21 +110,11 @@ use tint_spmd::RunMetrics;
 use tint_workloads::PinConfig;
 use tintmalloc::colors::ColorScheme;
 
-/// Legacy (v1) single-file journal name inside the journal directory.
-pub const V1_FILE_NAME: &str = "cells.v1.jnl";
-
-/// Marker dropped next to a v1 file once its cells have been absorbed
-/// into the v2 store; later replays skip the v1 file when it exists.
-pub const V1_MIGRATED_MARKER: &str = "cells.v1.jnl.migrated";
-
 /// The v2 store root inside the journal directory.
 pub const STORE_DIR: &str = "cells.v2";
 
 /// The GC lockfile name inside the store root.
 pub const GC_LOCK: &str = "gc.lock";
-
-/// 8-byte v1 file magic; the trailing digit is the format version.
-const V1_MAGIC: &[u8; 8] = b"TINTJNL1";
 
 /// 8-byte v2 shard magic.
 const SHARD_MAGIC: &[u8; 8] = b"TINTJNL2";
@@ -531,12 +512,10 @@ pub struct ReplayStats {
     pub replayed: u64,
     /// Trailing bytes dropped (in memory) as torn final writes.
     pub torn_dropped: u64,
-    /// Corrupt shards (or a corrupt v1 file) quarantined this replay.
+    /// Corrupt shards quarantined this replay.
     pub quarantined: u64,
     /// Healthy v2 shards merged.
     pub shards: u64,
-    /// Cells absorbed from a legacy v1 journal.
-    pub v1_absorbed: u64,
     /// Well-formed records of removed engine modes, skipped unserved.
     pub foreign: u64,
 }
@@ -550,11 +529,9 @@ pub struct GcStats {
     pub shards_merged: u64,
     /// Corrupt shards quarantined during the merge.
     pub quarantined: u64,
-    /// Cells absorbed from a legacy v1 journal.
-    pub v1_absorbed: u64,
     /// Records of removed engine modes dropped from the new generation.
     pub foreign_dropped: u64,
-    /// Store bytes before compaction (old generation + v1).
+    /// Store bytes before compaction (the old generation).
     pub bytes_before: u64,
     /// Store bytes after compaction (the new generation).
     pub bytes_after: u64,
@@ -684,7 +661,7 @@ pub fn replay() -> ReplayStats {
     })
 }
 
-/// One scanned byte stream (a shard or a v1 file).
+/// One scanned shard.
 struct Scan {
     cells: Vec<(CellKey, ExpResult)>,
     /// Well-formed records of removed engine modes (not in `cells`).
@@ -696,26 +673,26 @@ struct Scan {
     corrupt: bool,
 }
 
-/// Validate `bytes` against the framing format under `magic`. Never
+/// Validate `bytes` against the shard framing format. Never
 /// touches the filesystem — callers decide what to do about tears and
 /// corruption (the per-shard isolation policy lives in the callers).
-fn scan_bytes(bytes: &[u8], magic: &[u8; 8]) -> Scan {
+fn scan_bytes(bytes: &[u8]) -> Scan {
     let mut scan = Scan {
         cells: Vec::new(),
         foreign: 0,
         torn: 0,
         corrupt: false,
     };
-    if bytes.len() < magic.len() {
+    if bytes.len() < SHARD_MAGIC.len() {
         // Sub-magic fragment: a torn first write, not corruption.
         scan.torn = bytes.len() as u64;
         return scan;
     }
-    if &bytes[..magic.len()] != magic {
+    if &bytes[..SHARD_MAGIC.len()] != SHARD_MAGIC {
         scan.corrupt = true;
         return scan;
     }
-    let mut at = magic.len();
+    let mut at = SHARD_MAGIC.len();
     loop {
         let remaining = bytes.len() - at;
         if remaining == 0 {
@@ -795,7 +772,7 @@ fn scan_generation(root: &Path, gen_dir: &Path) -> GenScan {
     for path in shard_paths {
         let bytes = std::fs::read(&path).unwrap_or_default();
         g.bytes += bytes.len() as u64;
-        let scan = scan_bytes(&bytes, SHARD_MAGIC);
+        let scan = scan_bytes(&bytes);
         g.torn += scan.torn;
         g.foreign += scan.foreign;
         if scan.corrupt {
@@ -830,55 +807,9 @@ fn scan_generation(root: &Path, gen_dir: &Path) -> GenScan {
     g
 }
 
-/// A scanned legacy v1 journal.
-struct V1Scan {
-    cells: Vec<(CellKey, ExpResult)>,
-    foreign: u64,
-    corrupt: bool,
-    bytes: u64,
-    torn: u64,
-}
-
-/// Read the legacy v1 file if it exists and has not been migrated yet.
-fn scan_v1(dir: &Path) -> Option<V1Scan> {
-    if dir.join(V1_MIGRATED_MARKER).exists() {
-        return None;
-    }
-    let path = dir.join(V1_FILE_NAME);
-    let bytes = std::fs::read(&path).ok()?;
-    let scan = scan_bytes(&bytes, V1_MAGIC);
-    Some(V1Scan {
-        cells: scan.cells,
-        foreign: scan.foreign,
-        corrupt: scan.corrupt,
-        bytes: bytes.len() as u64,
-        torn: scan.torn,
-    })
-}
-
-/// Handle a corrupt v1 file: quarantine it under a unique name (satellite
-/// fix: never clobber a previous quarantine) so it is not re-read forever.
-fn quarantine_v1(dir: &Path) {
-    let path = dir.join(V1_FILE_NAME);
-    let q = unique_corrupt_path(dir, &path);
-    match fio_rename(&path, &q) {
-        Ok(()) => eprintln!(
-            "journal: {} is corrupt mid-stream; quarantined to {}",
-            path.display(),
-            q.display()
-        ),
-        Err(e) => eprintln!(
-            "journal: {} is corrupt and could not be quarantined ({e})",
-            path.display()
-        ),
-    }
-}
-
 /// The replay body; `s.dir` is `Some`. Merges the current generation's
-/// shards plus an unmigrated v1 file into the simcache, rescues
-/// non-durable cells (corrupt-shard salvage, v1 absorption) into this
-/// process's own shard, and drops the v1 migration marker once its cells
-/// are durably in v2.
+/// shards into the simcache and rescues the good prefixes of corrupt
+/// shards into this process's own shard.
 fn replay_locked(s: &mut State) -> ReplayStats {
     let dir = s.dir.clone().expect("replay_locked requires an armed dir");
     let mut stats = ReplayStats::default();
@@ -895,7 +826,6 @@ fn replay_locked(s: &mut State) -> ReplayStats {
     }
 
     let gen = current_generation(&dir).map(|(_, p)| scan_generation(&root, &p));
-    let v1 = scan_v1(&dir);
 
     let mut merged: HashMap<CellKey, ExpResult> = HashMap::new();
     let mut healthy_keys: HashSet<CellKey> = HashSet::new();
@@ -907,19 +837,6 @@ fn replay_locked(s: &mut State) -> ReplayStats {
         merged.extend(g.merged);
         healthy_keys.extend(g.healthy_keys);
     }
-    let mut v1_healthy = false;
-    if let Some(v) = v1 {
-        stats.foreign += v.foreign;
-        stats.torn_dropped += v.torn;
-        if v.corrupt {
-            stats.quarantined += 1;
-            quarantine_v1(&dir);
-        } else {
-            v1_healthy = true;
-        }
-        stats.v1_absorbed = v.cells.len() as u64;
-        merged.extend(v.cells);
-    }
 
     stats.replayed = merged.len() as u64;
     if simcache::enabled() {
@@ -927,18 +844,11 @@ fn replay_locked(s: &mut State) -> ReplayStats {
     }
     s.replayed.extend(merged.keys().copied());
 
-    // Rescue cells that no healthy shard holds (corrupt-shard salvage and
-    // v1 absorption) into our own shard so they stay durable. These are
-    // not *new* work, so they do not count toward the append counter.
-    let mut all_rescued = true;
+    // Rescue cells that no healthy shard holds (corrupt-shard salvage)
+    // into our own shard so they stay durable. These are not *new* work,
+    // so they do not count toward the append counter.
     for (k, v) in merged.iter().filter(|(k, _)| !healthy_keys.contains(k)) {
-        if !append_locked(s, k, v, false) {
-            all_rescued = false;
-        }
-    }
-    // The v1 file is migrated only once its cells are durable in v2.
-    if v1_healthy && all_rescued && !s.io_disarmed {
-        let _ = std::fs::write(dir.join(V1_MIGRATED_MARKER), b"absorbed\n");
+        append_locked(s, k, v, false);
     }
     stats
 }
@@ -1024,12 +934,12 @@ fn disarm_io(s: &mut State, ctx: &str, e: &std::io::Error) {
 /// the entry boundary is repaired (own-shard truncate back to the last
 /// good entry — never a foreign shard); persistent failure disarms.
 /// `count` is false for rescue re-persists, which are not new work.
-fn append_locked(s: &mut State, key: &CellKey, r: &ExpResult, count: bool) -> bool {
+fn append_locked(s: &mut State, key: &CellKey, r: &ExpResult, count: bool) {
     if s.dir.is_none() || s.io_disarmed {
-        return false;
+        return;
     }
     if s.shard.is_none() && !open_own_shard(s) {
-        return false;
+        return;
     }
     let entry = frame(&encode(key, r));
     let pre = s.shard_len;
@@ -1041,7 +951,6 @@ fn append_locked(s: &mut State, key: &CellKey, r: &ExpResult, count: bool) -> bo
             if count {
                 APPENDS.fetch_add(1, Ordering::Relaxed);
             }
-            true
         }
         Err(e) => {
             s.io_fail_streak = s.io_fail_streak.saturating_add(1);
@@ -1052,7 +961,6 @@ fn append_locked(s: &mut State, key: &CellKey, r: &ExpResult, count: bool) -> bo
                 // failure streak: stop writing.
                 disarm_io(s, "append", &e);
             }
-            false
         }
     }
 }
@@ -1088,15 +996,14 @@ pub fn flush() {
     });
 }
 
-/// Compact the store: merge the current generation (and any unmigrated v1
-/// file) exactly like replay, write the live deduped cells into one fresh
-/// shard in a new generation, and commit it with a single atomic rename.
-/// Guarded by the `gc.lock` `O_EXCL` lockfile with stale-lock takeover;
-/// a second live GC fails fast. A crash at *any* point leaves either the
-/// old or the new generation fully intact (the commit is one rename), and
-/// concurrent readers of the old generation are unaffected. Old
-/// generations and stray GC build directories are removed only after the
-/// commit.
+/// Compact the store: merge the current generation exactly like replay,
+/// write the live deduped cells into one fresh shard in a new generation,
+/// and commit it with a single atomic rename. Guarded by an advisory lock
+/// on `gc.lock`; a second live GC fails fast. A crash at *any* point
+/// leaves either the old or the new generation fully intact (the commit
+/// is one rename), and concurrent readers of the old generation are
+/// unaffected. Old generations and stray GC build directories are
+/// removed only after the commit.
 pub fn gc() -> Result<GcStats, String> {
     with_state(gc_locked)
 }
@@ -1125,19 +1032,6 @@ fn gc_locked(s: &mut State) -> Result<GcStats, String> {
         stats.quarantined += g.quarantined;
         stats.bytes_before += g.bytes;
         merged.extend(g.merged);
-    }
-    let mut v1_healthy = false;
-    if let Some(v) = scan_v1(&dir) {
-        stats.foreign_dropped += v.foreign;
-        if v.corrupt {
-            stats.quarantined += 1;
-            quarantine_v1(&dir);
-        } else {
-            v1_healthy = true;
-        }
-        stats.v1_absorbed = v.cells.len() as u64;
-        stats.bytes_before += v.bytes;
-        merged.extend(v.cells);
     }
     stats.live_cells = merged.len() as u64;
 
@@ -1183,9 +1077,6 @@ fn gc_locked(s: &mut State) -> Result<GcStats, String> {
             stats.generation = new_n;
             // Post-commit, best-effort cleanup: the new generation is
             // durable regardless of anything below.
-            if v1_healthy {
-                let _ = std::fs::write(dir.join(V1_MIGRATED_MARKER), b"absorbed\n");
-            }
             if let Ok(rd) = std::fs::read_dir(&root) {
                 for entry in rd.flatten() {
                     let name = entry.file_name();
@@ -1208,18 +1099,6 @@ fn gc_locked(s: &mut State) -> Result<GcStats, String> {
             Ok(stats)
         }
     }
-}
-
-/// Test fixture: write a legacy v1 journal file at `path` (migration
-/// tests need real v1 bytes without keeping the v1 writer alive).
-#[doc(hidden)]
-pub fn write_legacy_v1(path: &Path, cells: &[(CellKey, ExpResult)]) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(V1_MAGIC)?;
-    for (k, v) in cells {
-        f.write_all(&frame(&encode(k, v)))?;
-    }
-    f.sync_data()
 }
 
 #[cfg(test)]

@@ -2,10 +2,9 @@
 //!
 //! Regenerates every results figure of the TintMalloc paper (Figures 10–14
 //! plus the latency claims of §V and the ablations listed in DESIGN.md).
-//! The `repro` binary prints each figure's rows. The two microbenches
-//! under `benches/` (driven by [`microbench`]) time the latency matrix and
-//! colored free-list population; cold end-to-end wall time is measured by
-//! the separate `perfbench` package.
+//! The `repro` binary prints each figure's rows. Host cost, end to end
+//! and per layer, is measured from outside the crates by the separate
+//! `perfbench` package (`perfbench --trace 1` for the layer breakdown).
 //!
 //! EXPERIMENTS.md records the paper-vs-measured comparison produced by
 //! `cargo run --release -p tint-bench --bin repro -- all`.
@@ -23,7 +22,6 @@ pub mod figures;
 pub mod hostfault;
 pub mod journal;
 pub mod lockfile;
-pub mod microbench;
 pub mod runner;
 pub mod simcache;
 pub mod table;

@@ -1,112 +1,58 @@
-//! Advisory exclusive-create lockfiles with stale-lock takeover.
+//! Advisory exclusive file locks.
 //!
 //! Two harness paths need cross-*process* mutual exclusion on a shared
 //! file-system resource: journal generation GC ([`crate::journal::gc`])
 //! must never run twice concurrently over the same store, and concurrent
 //! `repro` processes finishing at the same time must not interleave their
 //! read-merge-write of `BENCH_repro.json`. Both use the same primitive: a
-//! lockfile whose contents are the holder's pid, published by hard-linking
-//! an already-stamped temp file to the lock path (`link(2)` fails if the
-//! path exists, so exactly one creator wins, and no reader ever sees the
-//! lock without its pid).
+//! lock file, created if missing, held under an exclusive
+//! [`std::fs::File::try_lock`] (`flock(2)` on Unix).
 //!
-//! A crashed holder leaves the lockfile behind, so acquisition performs
-//! *stale-lock takeover*: if the recorded pid no longer names a live
-//! process (checked via `/proc/<pid>`; an unreadable or unparsable pid is
-//! treated as stale too), the lock is deleted and acquisition retried.
-//! A live holder makes [`Lockfile::acquire`] fail fast — callers choose
-//! whether to error out (GC) or wait briefly ([`Lockfile::acquire_wait`],
-//! the BENCH_repro.json merge).
+//! The kernel owns the lock, not the file: it is released when the holder
+//! drops its [`Lockfile`] or exits for any reason, SIGKILL included. A
+//! leftover lock file therefore never blocks anyone, and there is no
+//! stale-lock takeover to race. Each [`Lockfile::acquire`] opens the file
+//! afresh, so two holders in one process exclude each other as two
+//! processes do.
 //!
-//! The lock is released on [`Drop`], so an early return cannot leak it;
-//! only a SIGKILL can, and that is exactly the case takeover handles.
+//! The lock file is never unlinked on release: a waiter that opened the
+//! old inode before the unlink could lock it while a newcomer locks a
+//! freshly created one, and both would hold "the" lock. A live holder
+//! makes [`Lockfile::acquire`] fail fast; callers choose whether to error
+//! out (GC) or wait briefly ([`Lockfile::acquire_wait`], the
+//! BENCH_repro.json merge).
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::fs::{File, OpenOptions, TryLockError};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// A held lockfile; dropping it releases the lock.
+/// A held lock; dropping it releases the lock (the file stays).
 #[derive(Debug)]
 pub struct Lockfile {
-    path: PathBuf,
-}
-
-/// Is `pid` a live process? Linux: `/proc/<pid>` exists. On non-Linux
-/// hosts the check degrades to "assume live" so a lock is never stolen
-/// from a process we cannot observe.
-fn pid_alive(pid: u32) -> bool {
-    if cfg!(target_os = "linux") {
-        Path::new(&format!("/proc/{pid}")).exists()
-    } else {
-        true
-    }
+    _file: File,
 }
 
 impl Lockfile {
-    /// Try to acquire `path` once (plus at most one stale-lock takeover).
-    /// Returns `Err` with a human-readable reason when a live process
-    /// holds the lock or the filesystem refuses the create.
+    /// Try to acquire `path` once. Returns `Err` with a human-readable
+    /// reason when another holder has the lock or the filesystem refuses
+    /// the open.
     pub fn acquire(path: &Path) -> Result<Self, String> {
-        // The lock is published fully stamped: the pid goes into a private
-        // temp file, which is then hard-linked to `path` (atomic, and fails
-        // if `path` exists). Creating `path` empty and stamping it after
-        // would let a racing acquirer read the empty lock as stale and
-        // delete it while it is held.
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let mut stamp = path.as_os_str().to_owned();
-        stamp.push(format!(
-            ".{}.{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let stamp = PathBuf::from(stamp);
-        std::fs::write(&stamp, format!("{}\n", std::process::id()))
-            .map_err(|e| format!("cannot create {}: {e}", stamp.display()))?;
-        let result = Self::publish(path, &stamp);
-        let _ = std::fs::remove_file(&stamp);
-        result
-    }
-
-    /// Link the stamped file `stamp` to `path`, with at most one
-    /// stale-lock takeover.
-    fn publish(path: &Path, stamp: &Path) -> Result<Self, String> {
-        for _ in 0..2 {
-            match std::fs::hard_link(stamp, path) {
-                Ok(()) => {
-                    return Ok(Self {
-                        path: path.to_path_buf(),
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    let holder = std::fs::read_to_string(path)
-                        .ok()
-                        .and_then(|s| s.trim().parse::<u32>().ok());
-                    match holder {
-                        Some(pid) if pid_alive(pid) => {
-                            return Err(format!(
-                                "{} is held by live process {pid}",
-                                path.display()
-                            ));
-                        }
-                        // Dead holder or unreadable/garbled lock: stale.
-                        // Remove and retry the exclusive create once (a
-                        // racing taker may beat us to recreation, which
-                        // the second loop iteration reports honestly).
-                        _ => {
-                            let _ = std::fs::remove_file(path);
-                        }
-                    }
-                }
-                Err(e) => return Err(format!("cannot create {}: {e}", path.display())),
+        let file = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)
+            .map_err(|e| format!("cannot open {}: {e}", path.display()))?;
+        match file.try_lock() {
+            Ok(()) => Ok(Self { _file: file }),
+            Err(TryLockError::WouldBlock) => {
+                Err(format!("{} is held by another holder", path.display()))
             }
+            Err(TryLockError::Error(e)) => Err(format!("cannot lock {}: {e}", path.display())),
         }
-        Err(format!(
-            "{} was recreated while taking over a stale lock",
-            path.display()
-        ))
     }
 
-    /// [`Self::acquire`], retrying for up to `wait` while a live holder
+    /// [`Self::acquire`], retrying for up to `wait` while another holder
     /// has the lock (10 ms poll). Returns the last error on timeout.
     pub fn acquire_wait(path: &Path, wait: Duration) -> Result<Self, String> {
         let deadline = Instant::now() + wait;
@@ -122,22 +68,14 @@ impl Lockfile {
             }
         }
     }
-
-    /// The lockfile's path (diagnostics).
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl Drop for Lockfile {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
 
     fn scratch(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("tint-lock-test-{}-{tag}", std::process::id()));
@@ -146,39 +84,76 @@ mod tests {
         d
     }
 
+    /// The pid of a process that has already exited.
+    fn dead_pid() -> u32 {
+        let mut c = std::process::Command::new("true")
+            .spawn()
+            .expect("spawn true");
+        let pid = c.id();
+        let _ = c.wait();
+        pid
+    }
+
     #[test]
     fn exclusive_while_held_released_on_drop() {
         let dir = scratch("excl");
         let path = dir.join("x.lock");
         let held = Lockfile::acquire(&path).expect("first acquire succeeds");
-        // Our own pid is alive, so a second acquire must fail fast.
         let err = Lockfile::acquire(&path).expect_err("held lock must refuse");
-        assert!(err.contains("held by live process"), "{err}");
+        assert!(err.contains("held by another holder"), "{err}");
         drop(held);
-        assert!(!path.exists(), "drop releases the lock");
         let _again = Lockfile::acquire(&path).expect("reacquire after drop");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A lock file left by a dead holder is not a held lock: nothing needs
+    /// taking over, the next acquire simply succeeds.
     #[test]
     fn stale_locks_are_taken_over() {
-        let dir = scratch("stale");
+        let dir = scratch("leftover");
         let path = dir.join("x.lock");
-        // A dead pid: spawn a process and wait for it to exit.
-        let dead_pid = std::process::Command::new("true")
-            .spawn()
-            .map(|mut c| {
-                let pid = c.id();
-                let _ = c.wait();
-                pid
-            })
-            .expect("spawn true");
-        std::fs::write(&path, format!("{dead_pid}\n")).unwrap();
-        let _l = Lockfile::acquire(&path).expect("dead-pid lock is stale");
-        drop(_l);
-        // A garbled lock (unparsable pid) is also stale.
+        std::fs::write(&path, format!("{}\n", dead_pid())).unwrap();
+        drop(Lockfile::acquire(&path).expect("a dead holder's file does not block"));
         std::fs::write(&path, "not-a-pid\n").unwrap();
-        let _l = Lockfile::acquire(&path).expect("garbled lock is stale");
+        drop(Lockfile::acquire(&path).expect("a garbled file does not block"));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn racing_a_dead_holders_lock_never_yields_two_holders() {
+        // Each round leaves a lock file naming a dead pid, then four
+        // threads race for it. Every winner holds until all four have
+        // tried, so two successes in one round are two simultaneous
+        // holders.
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 2_000;
+        let dir = scratch("race");
+        let path = dir.join("x.lock");
+        let dead = dead_pid();
+        let mut doubled = 0;
+        for _ in 0..ROUNDS {
+            std::fs::write(&path, format!("{dead}\n")).unwrap();
+            let start = Barrier::new(THREADS);
+            let tried = Barrier::new(THREADS);
+            let holders = AtomicUsize::new(0);
+            std::thread::scope(|s| {
+                for _ in 0..THREADS {
+                    s.spawn(|| {
+                        start.wait();
+                        let lock = Lockfile::acquire(&path).ok();
+                        if lock.is_some() {
+                            holders.fetch_add(1, Ordering::SeqCst);
+                        }
+                        tried.wait();
+                        drop(lock);
+                    });
+                }
+            });
+            if holders.load(Ordering::SeqCst) > 1 {
+                doubled += 1;
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(doubled, 0, "{doubled} of {ROUNDS} rounds had two holders");
     }
 }

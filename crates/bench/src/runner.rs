@@ -36,13 +36,9 @@
 //! without aborting the rest of the matrix. Poisoned results are never
 //! cached or journaled; a later run retries them.
 //!
-//! A watchdog thread (armed by `TINT_CELL_TIMEOUT_S`) warns about cells
-//! exceeding the soft deadline; in strict-deadline mode
-//! ([`set_strict_deadline`], the `repro --strict-deadline` flag) an
-//! overdue cell's eventual result is discarded and the cell poisoned, and
-//! a cell stuck past 20× the deadline aborts the whole process (exit 124,
-//! journal flushed — a resume skips everything that completed) so a
-//! livelocked simulation cannot hang CI forever.
+//! A watchdog thread (armed by `TINT_CELL_TIMEOUT_S`) warns once about
+//! each cell that exceeds the soft deadline. It never stops a cell or
+//! changes its result.
 //!
 //! SIGINT/SIGTERM (when the binary armed [`install_cancel_handlers`]) flip
 //! a cooperative cancel flag: workers drain at the next cell boundary, the
@@ -96,9 +92,8 @@ pub struct ExpResult {
     /// create_color_list invocations.
     pub color_list_moves: u64,
     /// True when this is a sentinel for a cell whose every attempt
-    /// panicked (or blew its strict deadline): the numbers above are
-    /// zeros, figures render the affected rows as `ERR`, and the cell is
-    /// never cached or journaled.
+    /// panicked: the numbers above are zeros, figures render the affected
+    /// rows as `ERR`, and the cell is never cached or journaled.
     pub poisoned: bool,
 }
 
@@ -253,13 +248,6 @@ pub fn pressure_stats() -> (u64, u64, u64) {
     )
 }
 
-/// Zero the pressure counters (tests).
-pub fn reset_pressure_stats() {
-    OOM_KILLS.store(0, Ordering::Relaxed);
-    ADMISSION_REJECTS.store(0, Ordering::Relaxed);
-    ALLOC_RETRIES.store(0, Ordering::Relaxed);
-}
-
 /// Sentinel retry override; `usize::MAX` = unset (fall back to env).
 static RETRIES_OVERRIDE: AtomicUsize = AtomicUsize::new(usize::MAX);
 
@@ -299,15 +287,6 @@ pub fn cell_retries() -> u32 {
     2
 }
 
-/// Sentinel timeout override in milliseconds; `u64::MAX` = unset.
-static TIMEOUT_OVERRIDE_MS: AtomicU64 = AtomicU64::new(u64::MAX);
-
-/// Programmatic `TINT_CELL_TIMEOUT_S` override (tests); `None` restores
-/// the env lookup.
-pub fn set_cell_timeout_ms(ms: Option<u64>) {
-    TIMEOUT_OVERRIDE_MS.store(ms.unwrap_or(u64::MAX), Ordering::Relaxed);
-}
-
 /// Parse a `TINT_CELL_TIMEOUT_S` value: seconds > 0, fractional ok.
 fn parse_cell_timeout(s: &str) -> Result<Duration, String> {
     match s.trim().parse::<f64>().map(Duration::try_from_secs_f64) {
@@ -316,14 +295,10 @@ fn parse_cell_timeout(s: &str) -> Result<Duration, String> {
     }
 }
 
-/// The soft per-cell deadline, if armed: the override, else
-/// `TINT_CELL_TIMEOUT_S`. An unparsable env value warns once and disarms
-/// (the `repro` binary rejects it up front via [`validate_env`]).
+/// The soft per-cell deadline, if armed: `TINT_CELL_TIMEOUT_S`. An
+/// unparsable value warns once and disarms (the `repro` binary rejects it
+/// up front via [`validate_env`]).
 pub fn cell_timeout() -> Option<Duration> {
-    let forced = TIMEOUT_OVERRIDE_MS.load(Ordering::Relaxed);
-    if forced != u64::MAX {
-        return Some(Duration::from_millis(forced));
-    }
     let v = std::env::var("TINT_CELL_TIMEOUT_S").ok()?;
     match parse_cell_timeout(&v) {
         Ok(d) => Some(d),
@@ -333,20 +308,6 @@ pub fn cell_timeout() -> Option<Duration> {
             None
         }
     }
-}
-
-/// Strict-deadline mode: overdue cells are poisoned instead of merely
-/// warned about (the `repro --strict-deadline` flag).
-static STRICT_DEADLINE: AtomicBool = AtomicBool::new(false);
-
-/// Enable/disable strict-deadline mode.
-pub fn set_strict_deadline(on: bool) {
-    STRICT_DEADLINE.store(on, Ordering::Relaxed);
-}
-
-/// Is strict-deadline mode on?
-pub fn strict_deadline() -> bool {
-    STRICT_DEADLINE.load(Ordering::Relaxed)
 }
 
 /// Cooperative cancellation flag, flipped by SIGINT/SIGTERM once the
@@ -446,8 +407,6 @@ fn run_cell_guarded(c: &CellSpec<'_>) -> ExpResult {
 struct Watch {
     /// Per-worker: `(cell index, start)` while a cell is being simulated.
     active: Mutex<Vec<Option<(usize, Instant)>>>,
-    /// Cells flagged overdue by the watchdog (strict mode: reject result).
-    flagged: Mutex<std::collections::HashSet<usize>>,
     /// Cells already warned about (warn once each).
     warned: Mutex<std::collections::HashSet<usize>>,
     /// Workers still draining the queue; the watchdog exits at zero.
@@ -458,7 +417,6 @@ impl Watch {
     fn new(workers: usize) -> Self {
         Self {
             active: Mutex::new(vec![None; workers]),
-            flagged: Mutex::new(std::collections::HashSet::new()),
             warned: Mutex::new(std::collections::HashSet::new()),
             workers_alive: AtomicUsize::new(workers),
         }
@@ -469,16 +427,8 @@ impl Watch {
             Some((cell, Instant::now()));
     }
 
-    /// Clear the worker's slot; returns true when strict-deadline mode
-    /// flagged this cell while it ran (its result must be discarded).
-    fn end(&self, worker: usize, cell: usize) -> bool {
+    fn end(&self, worker: usize) {
         self.active.lock().unwrap_or_else(|e| e.into_inner())[worker] = None;
-        strict_deadline()
-            && self
-                .flagged
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .contains(&cell)
     }
 
     fn worker_done(&self) {
@@ -486,15 +436,12 @@ impl Watch {
     }
 }
 
-/// Watchdog body: wake a few times per deadline, warn about overdue cells
-/// (once each), flag them in strict mode, and — strict mode, armed binary
-/// only — abort the process if a cell is stuck past 20× the deadline (the
-/// journal holds everything completed, so an abort is resumable).
+/// Watchdog body: wake a few times per deadline and warn about overdue
+/// cells, once each.
 fn watchdog_loop(watch: &Watch, cells: &[CellSpec<'_>], timeout: Duration) {
     let tick = (timeout / 4)
         .min(Duration::from_millis(200))
         .max(Duration::from_millis(10));
-    let hard_kill = timeout.saturating_mul(20);
     while watch.workers_alive.load(Ordering::Acquire) > 0 {
         std::thread::sleep(tick);
         let overdue: Vec<(usize, Duration)> = {
@@ -514,33 +461,11 @@ fn watchdog_loop(watch: &Watch, cells: &[CellSpec<'_>], timeout: Duration) {
                 .insert(i);
             if first {
                 eprintln!(
-                    "watchdog: cell [{}] running {:.1}s, past the {:.1}s deadline{}",
+                    "watchdog: cell [{}] running {:.1}s, past the {:.1}s deadline",
                     cells[i].describe(),
                     elapsed.as_secs_f64(),
                     timeout.as_secs_f64(),
-                    if strict_deadline() {
-                        " — its result will be discarded (strict-deadline)"
-                    } else {
-                        ""
-                    }
                 );
-            }
-            if strict_deadline() {
-                watch
-                    .flagged
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .insert(i);
-                if elapsed > hard_kill && CANCEL_ARMED.load(Ordering::SeqCst) {
-                    journal::flush();
-                    eprintln!(
-                        "watchdog: cell [{}] stuck for {:.1}s (20x the deadline); \
-                         aborting — completed cells are journaled, resume with the same command",
-                        cells[i].describe(),
-                        elapsed.as_secs_f64()
-                    );
-                    std::process::exit(124);
-                }
             }
         }
     }
@@ -756,18 +681,8 @@ pub fn run_cells_with_progress(
                         let i = to_run[k];
                         let c = &cells[i];
                         watch.begin(w, i);
-                        let mut r = run_cell_guarded(c);
-                        if watch.end(w, i) && !r.poisoned {
-                            // Strict deadline: the cell finished, but too
-                            // late — treat like a failed cell.
-                            POISONED.fetch_add(1, Ordering::Relaxed);
-                            eprintln!(
-                                "worker: cell [{}] exceeded the strict deadline; \
-                                 result discarded (ERR)",
-                                c.describe()
-                            );
-                            r = poisoned_sentinel(c);
-                        }
+                        let r = run_cell_guarded(c);
+                        watch.end(w);
                         if !r.poisoned {
                             journal::append(&keys[i], &r);
                         }

@@ -1,21 +1,18 @@
-//! Cell-farm differential tests: concurrent-writer shards, v1 migration,
-//! io-fault degradation, and generation GC atomicity.
+//! Cell-farm differential tests: concurrent-writer shards, io-fault
+//! degradation, and generation GC atomicity.
 //!
 //! The load-bearing invariants:
 //!
 //! 1. **Merge**: writers append to private shards; replay merges every
 //!    shard of the current generation and dedupes by key, so a fleet of
 //!    processes collectively only ever simulates new cells.
-//! 2. **Migration**: a legacy v1 journal is absorbed into the v2 store on
-//!    first replay and then left untouched (marker file), including mixed
-//!    v1+v2 startup with overlapping keys.
-//! 3. **Degradation**: under injected io faults the journal disarms
+//! 2. **Degradation**: under injected io faults the journal disarms
 //!    itself; the run completes with byte-identical figures and the
 //!    surviving on-disk prefix stays replayable — never quarantined.
-//! 4. **GC atomicity**: `gc` commits a compacted generation with one
+//! 3. **GC atomicity**: `gc` commits a compacted generation with one
 //!    atomic rename; killed at *any* io operation it leaves a store that
-//!    replays the full live set, and the `gc.lock` never lingers.
-//! 5. **Foreign records**: records of removed engine modes are skipped,
+//!    replays the full live set, and the `gc.lock` is never left held.
+//! 4. **Foreign records**: records of removed engine modes are skipped,
 //!    never served, never mistaken for corruption, and dropped by GC.
 //!
 //! Journal/cache/fault state is process-global: tests serialize on
@@ -27,6 +24,7 @@ use std::sync::Mutex;
 use tint_bench::figures::{fig10, FigOpts};
 use tint_bench::hostfault::{self, FaultMode, HostFaultPlan, IO_ABORT_MARKER};
 use tint_bench::journal;
+use tint_bench::lockfile::Lockfile;
 use tint_bench::runner::{reset_fault_counters, set_cell_retries, set_jobs, ExpResult};
 use tint_bench::simcache::{self, CellKey};
 use tint_spmd::RunMetrics;
@@ -177,87 +175,7 @@ fn two_writers_merge_and_a_third_run_simulates_nothing() {
 }
 
 // ---------------------------------------------------------------------------
-// 2. v1 migration: absorbed once, left untouched
-// ---------------------------------------------------------------------------
-
-#[test]
-fn v1_journal_is_absorbed_once_and_left_untouched() {
-    let _g = LOCK.lock().unwrap();
-    let dir = scratch("v1");
-    isolated(|| {
-        std::fs::create_dir_all(&dir).unwrap();
-        let cells: Vec<_> = (0..5).map(cell).collect();
-        let v1_path = dir.join(journal::V1_FILE_NAME);
-        journal::write_legacy_v1(&v1_path, &cells).unwrap();
-        let v1_bytes = std::fs::read(&v1_path).unwrap();
-
-        // First v2 replay absorbs the v1 cells into an own shard and
-        // drops the migration marker.
-        journal::set_dir(Some(&dir));
-        let stats = journal::replay();
-        assert_eq!(stats.v1_absorbed, 5);
-        assert_eq!(stats.replayed, 5);
-        assert_eq!(stats.quarantined, 0);
-        assert!(dir.join(journal::V1_MIGRATED_MARKER).exists());
-        assert_eq!(shard_paths(&dir).len(), 1, "absorbed into one shard");
-        assert_eq!(
-            std::fs::read(&v1_path).unwrap(),
-            v1_bytes,
-            "the v1 file itself is left untouched"
-        );
-        for (k, _) in &cells {
-            assert!(simcache::lookup(k).is_some(), "absorbed cell serves");
-        }
-
-        // Second replay: the marker short-circuits the v1 read; the cells
-        // now come from the v2 shard.
-        rebirth(&dir);
-        let again = journal::replay();
-        assert_eq!(again.v1_absorbed, 0, "absorbed exactly once");
-        assert_eq!(again.replayed, 5);
-        assert_eq!(again.shards, 1);
-    });
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn mixed_v1_and_v2_startup_merges_and_dedupes() {
-    let _g = LOCK.lock().unwrap();
-    let dir = scratch("mixed");
-    isolated(|| {
-        // v2 shard holding keys 0..5 (a prior v2 process).
-        journal::set_dir(Some(&dir));
-        for i in 0..5 {
-            let (k, r) = cell(i);
-            journal::append(&k, &r);
-        }
-        journal::flush();
-        // A v1 file holding keys 3..8 — 3 and 4 overlap the shard.
-        let cells: Vec<_> = (3..8).map(cell).collect();
-        journal::write_legacy_v1(&dir.join(journal::V1_FILE_NAME), &cells).unwrap();
-
-        rebirth(&dir);
-        let stats = journal::replay();
-        assert_eq!(stats.v1_absorbed, 5, "all five v1 records were read");
-        assert_eq!(stats.replayed, 8, "0..8 distinct keys after dedup");
-        assert_eq!(stats.shards, 1);
-        assert!(dir.join(journal::V1_MIGRATED_MARKER).exists());
-        for i in 0..8 {
-            assert!(simcache::lookup(&cell(i).0).is_some(), "key {i} serves");
-        }
-
-        // Third start: both shards (original + rescue), no v1 re-read.
-        rebirth(&dir);
-        let again = journal::replay();
-        assert_eq!(again.v1_absorbed, 0);
-        assert_eq!(again.replayed, 8);
-        assert_eq!(again.shards, 2);
-    });
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-// ---------------------------------------------------------------------------
-// 3. io-fault degradation: disarm, never corrupt
+// 2. io-fault degradation: disarm, never corrupt
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -333,7 +251,7 @@ fn low_rate_io_faults_never_corrupt_the_good_prefix() {
 }
 
 // ---------------------------------------------------------------------------
-// 4. Generation GC: compaction, atomicity under kill, locking
+// 3. Generation GC: compaction, atomicity under kill, locking
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -373,7 +291,7 @@ fn gc_compacts_duplicates_across_shards_and_preserves_every_cell() {
         // The old generation is gone; one compacted shard remains.
         let root = journal::v2_root(&dir);
         assert!(!root.join("gen-00000001").exists());
-        assert!(!root.join(journal::GC_LOCK).exists(), "lock released");
+        Lockfile::acquire(&root.join(journal::GC_LOCK)).expect("lock released");
         assert_eq!(shard_paths(&dir).len(), 1);
 
         // The compacted store serves everything.
@@ -440,10 +358,9 @@ fn gc_killed_at_every_io_op_leaves_old_or_new_generation_intact() {
                     kill_points += 1;
                 }
             }
-            assert!(
-                !root.join(journal::GC_LOCK).exists(),
-                "kill point {k}: the gc lock must never linger"
-            );
+            if let Err(e) = Lockfile::acquire(&root.join(journal::GC_LOCK)) {
+                panic!("kill point {k}: the gc lock must never stay held: {e}");
+            }
             rebirth(&dir);
             let stats = journal::replay();
             assert_eq!(
@@ -491,14 +408,14 @@ fn gc_refuses_a_live_lock_and_takes_over_a_stale_one() {
         journal::flush();
         let lock = journal::v2_root(&dir).join(journal::GC_LOCK);
 
-        // A live holder (our own pid) makes gc fail fast, store untouched.
-        std::fs::write(&lock, format!("{}\n", std::process::id())).unwrap();
+        // A live holder makes gc fail fast, store untouched.
+        let held = Lockfile::acquire(&lock).unwrap();
         let err = journal::gc().expect_err("live lock must refuse");
-        assert!(err.contains("held by live process"), "{err}");
+        assert!(err.contains("held by another holder"), "{err}");
         assert!(journal::v2_root(&dir).join("gen-00000001").exists());
-        std::fs::remove_file(&lock).unwrap();
+        drop(held);
 
-        // A stale holder (dead pid) is taken over.
+        // A leftover lock file naming a dead holder does not block.
         let dead_pid = std::process::Command::new("true")
             .spawn()
             .map(|mut c| {
@@ -508,15 +425,15 @@ fn gc_refuses_a_live_lock_and_takes_over_a_stale_one() {
             })
             .unwrap();
         std::fs::write(&lock, format!("{dead_pid}\n")).unwrap();
-        let stats = journal::gc().expect("stale lock is taken over");
+        let stats = journal::gc().expect("a dead holder's lock file does not block");
         assert_eq!(stats.live_cells, 3);
-        assert!(!lock.exists(), "lock released after gc");
+        Lockfile::acquire(&lock).expect("lock released after gc");
     });
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------
-// 5. Records of removed engine modes are foreign, not corrupt
+// 4. Records of removed engine modes are foreign, not corrupt
 // ---------------------------------------------------------------------------
 
 /// Byte offset of the mode byte in a record payload: it follows the

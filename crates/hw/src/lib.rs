@@ -37,7 +37,6 @@ pub mod addrmap;
 pub mod decoder;
 pub mod machine;
 pub mod pci;
-pub mod profile;
 pub mod rng;
 pub mod topology;
 pub mod types;

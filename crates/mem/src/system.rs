@@ -5,7 +5,6 @@ use tint_cache::{CacheHierarchy, HitLevel};
 use tint_dram::{DramAccess, DramSystem};
 use tint_hw::decoder::FrameDecoder;
 use tint_hw::machine::MachineConfig;
-use tint_hw::profile::{self, Component};
 use tint_hw::types::{CoreId, NodeId, PhysAddr, Rw};
 
 /// Outcome of one memory access with its latency breakdown.
@@ -64,12 +63,8 @@ impl MemorySystem {
     /// `now`; returns the latency breakdown. Loads and stores share timing
     /// (see DESIGN.md).
     pub fn access(&mut self, core: CoreId, addr: PhysAddr, rw: Rw, now: u64) -> AccessResult {
-        let th = profile::start();
         let (level, hier_cycles) = self.hierarchy.access(core, addr);
-        profile::stop(Component::Hierarchy, th);
-        let td = profile::start();
         let home_node = self.decoder.node_of_frame(addr.frame());
-        profile::stop(Component::Decode, td);
 
         let result = if level == HitLevel::Memory {
             let hops = self.config.topology.hops(core, home_node);
@@ -83,9 +78,7 @@ impl MemorySystem {
                 *port = start + self.config.interconnect.link_busy;
                 arrive = start;
             }
-            let tdr = profile::start();
             let dram = self.dram.access(addr, rw, arrive);
-            profile::stop(Component::Dram, tdr);
             // Return trip: the other half of the hop penalty.
             let done = dram.complete_at + (hop_extra - hop_extra / 2);
             AccessResult {

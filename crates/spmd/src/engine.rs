@@ -29,7 +29,6 @@
 //! in production selects them.
 
 use std::collections::VecDeque;
-use tint_hw::profile::{self, Component};
 use tint_hw::types::{CoreId, Rw, VirtAddr};
 use tint_kernel::{Errno, Tid};
 use tintmalloc::System;
@@ -267,7 +266,6 @@ fn run_loop<P: BodyPolicy>(
         n <= MAX_THREADS,
         "team of {n} threads exceeds the engine's limit of {MAX_THREADS} (MAX_THREADS)"
     );
-    let t0 = profile::start();
     let mut end = vec![0u64; n];
     let mut keys: Vec<u64> = (0..n).map(|i| pack_key(threads[i].clock, i)).collect();
     let mut cursors: Vec<BodyCursor> = (0..n).map(|_| BodyCursor::new()).collect();
@@ -329,16 +327,13 @@ fn run_loop<P: BodyPolicy>(
                 Op::Access { addr, rw } => {
                     cur.cur += 1;
                     ops += 1;
-                    let ta = profile::start();
                     let acc = match sys.access(tid, addr, rw, clock) {
                         Ok(a) => a,
                         Err(e) => {
                             threads[i].clock = clock;
-                            profile::stop(Component::Engine, t0);
                             return Err(e);
                         }
                     };
-                    profile::stop(Component::Access, ta);
                     clock += acc.latency;
                 }
             }
@@ -360,7 +355,6 @@ fn run_loop<P: BodyPolicy>(
     for t in threads.iter_mut() {
         t.clock = barrier;
     }
-    profile::stop(Component::Engine, t0);
     Ok(end)
 }
 

@@ -15,7 +15,6 @@
 use crate::engine::{Op, SectionBody, SimThread};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use tint_hw::profile::{self, Component};
 use tint_kernel::Errno;
 use tintmalloc::System;
 
@@ -41,9 +40,7 @@ pub fn run_section_reference(
                 heap.push(Reverse((threads[i].clock, i)));
             }
             Some(Op::Access { addr, rw }) => {
-                let ta = profile::start();
                 let acc = sys.access(threads[i].tid, addr, rw, threads[i].clock)?;
-                profile::stop(Component::Access, ta);
                 threads[i].clock += acc.latency;
                 heap.push(Reverse((threads[i].clock, i)));
             }
@@ -90,9 +87,7 @@ pub fn run_section_dynamic_reference(
         match body.next_op() {
             Some(Op::Compute(c)) => threads[i].clock += c,
             Some(Op::Access { addr, rw }) => {
-                let ta = profile::start();
                 let acc = sys.access(threads[i].tid, addr, rw, threads[i].clock)?;
-                profile::stop(Component::Access, ta);
                 threads[i].clock += acc.latency;
             }
             None => {
@@ -126,9 +121,7 @@ pub fn run_serial_reference(
         match op {
             Op::Compute(c) => master.clock += c,
             Op::Access { addr, rw } => {
-                let ta = profile::start();
                 let acc = sys.access(master.tid, addr, rw, master.clock)?;
-                profile::stop(Component::Access, ta);
                 master.clock += acc.latency;
             }
         }

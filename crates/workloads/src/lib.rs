@@ -1,6 +1,6 @@
 //! # tint-workloads — the paper's benchmarks as access-pattern emulators
 //!
-//! The evaluation (§V) uses a synthetic microbenchmark plus the six OpenMP
+//! The evaluation (§V) uses a synthetic benchmark plus the six OpenMP
 //! benchmarks available in SPEC 2006 and Parsec: **lbm**, **art**,
 //! **equake**, **bodytrack**, **freqmine**, **blackscholes**. Running the
 //! originals requires their inputs and an OpenMP runtime on real hardware;
@@ -15,7 +15,7 @@
 //! * [`patterns`] — reusable access-stream iterators (sequential sweeps,
 //!   uniform random taps, the Fig. 10 alternating-stride pattern,
 //!   interleavings).
-//! * [`synthetic`] — the Fig. 10 microbenchmark.
+//! * [`synthetic`] — the Fig. 10 synthetic benchmark.
 //! * [`lbm`], [`art`], [`equake`], [`bodytrack`], [`freqmine`],
 //!   [`blackscholes`] — the six benchmark emulators.
 //! * [`churn`] — the multi-tenant arrival/exit stream for the round-robin

@@ -1,4 +1,4 @@
-//! The paper's synthetic microbenchmark (§V.A, Fig. 10).
+//! The paper's synthetic benchmark (§V.A, Fig. 10).
 //!
 //! Each thread allocates a large private region and writes it with the
 //! alternating-stride pattern (M, M+1C, M−1C, M+2C, …) so every cache line
@@ -11,7 +11,7 @@ use crate::traits::{Scale, Workload};
 use tint_spmd::{Program, SimThread};
 use tintmalloc::System;
 
-/// The Fig. 10 microbenchmark.
+/// The Fig. 10 synthetic benchmark.
 #[derive(Debug, Clone)]
 pub struct Synthetic {
     /// Region size per thread, in bytes.

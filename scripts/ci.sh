@@ -171,6 +171,50 @@ if [ "$post_gc_misses" != "0" ] || ! cmp -s "$farm_dir/post_gc.txt" "$farm_clean
     echo "FAIL: the compacted generation lost cells (misses=$post_gc_misses)" >&2
     exit 1
 fi
+
+echo "== concurrent gc-journal smoke =="
+# Two `repro gc-journal` processes start together on the populated farm.
+# The gc lock admits one at a time: the loser may fail with a `gc lock`
+# error (at most one of them), neither may fail any other way, no GC
+# build directory may be left behind, and the farm must still serve both
+# matrices with zero simulated cells and byte-identical figures.
+(cd "$farm_dir" && exec "$OLDPWD/target/release/repro" gc-journal > gc_a.txt 2> gc_a.err) &
+gc_a=$!
+(cd "$farm_dir" && exec "$OLDPWD/target/release/repro" gc-journal > gc_b.txt 2> gc_b.err) &
+gc_b=$!
+gc_a_rc=0
+wait "$gc_a" || gc_a_rc=$?
+gc_b_rc=0
+wait "$gc_b" || gc_b_rc=$?
+lock_errors=0
+for run in "a:$gc_a_rc" "b:$gc_b_rc"; do
+    name=${run%%:*}
+    rc=${run#*:}
+    if [ "$rc" = "0" ]; then
+        continue
+    fi
+    if [ "$rc" = "1" ] && grep -q "gc lock" "$farm_dir/gc_$name.err"; then
+        lock_errors=$((lock_errors + 1))
+        continue
+    fi
+    echo "FAIL: concurrent gc-journal $name exited $rc:" >&2
+    cat "$farm_dir/gc_$name.err" >&2
+    exit 1
+done
+if [ "$lock_errors" -gt 1 ]; then
+    echo "FAIL: both concurrent gc-journal runs were refused the gc lock" >&2
+    exit 1
+fi
+if ls -d "$farm_dir"/.tint-journal/cells.v2/gen-*.tmp.* > /dev/null 2>&1; then
+    echo "FAIL: a GC build directory was left behind" >&2
+    exit 1
+fi
+(cd "$farm_dir" && "$OLDPWD/target/release/repro" --jobs 2 --reps 2 --configs 16t4n fig11 fig12 > post_gc2.txt 2> /dev/null)
+post_gc2_misses=$(grep '"invocation"' "$farm_dir/BENCH_repro.json" | sed -n 's/.*"cache_misses": \([0-9]*\).*/\1/p')
+if [ "$post_gc2_misses" != "0" ] || ! cmp -s "$farm_dir/post_gc2.txt" "$farm_clean_dir/clean.txt"; then
+    echo "FAIL: the farm lost cells under concurrent gc-journal (misses=$post_gc2_misses)" >&2
+    exit 1
+fi
 rm -rf "$farm_dir" "$farm_clean_dir"
 
 echo "== io-fault degradation smoke =="
